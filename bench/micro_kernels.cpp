@@ -7,6 +7,7 @@
 /// root — every PR appends to that perf trajectory.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "vision/kernels.hpp"
@@ -28,7 +29,9 @@ struct KernelFixture {
   KernelFixture() {
     gen.render(30, prev, /*stride=*/1);
     gen.render(31, cur, /*stride=*/1);
-    frame_difference(ConstFrameView(cur), ConstFrameView(prev), mask, 24, 1);
+    LumaPlane plane;
+    frame_difference(ConstFrameView(prev), plane, mask, 24, 1);
+    frame_difference(ConstFrameView(cur), plane, mask, 24, 1);
     color_histogram(ConstFrameView(cur), hist, 1);
   }
 };
@@ -38,13 +41,37 @@ KernelFixture& fixture() {
   return f;
 }
 
+/// The digitizer's kernel: one full scene render per iteration.
+void BM_Render(benchmark::State& state) {
+  KernelFixture& f = fixture();
+  const int stride = static_cast<int>(state.range(0));
+  std::vector<std::byte> frame(kFrameBytes);
+  std::int64_t index = 0;
+  for (auto _ : state) {
+    f.gen.render(index++, frame, stride);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Render)->Arg(1)->Arg(8);
+
+/// The background stage's kernel: each iteration differences one frame
+/// against the luma plane holding the other, alternating, so every call
+/// sees real motion and refreshes the plane as the stage does.
 void BM_FrameDifference(benchmark::State& state) {
   KernelFixture& f = fixture();
   const int stride = static_cast<int>(state.range(0));
   std::vector<std::byte> mask(kMaskBytes);
+  LumaPlane plane;
+  frame_difference(ConstFrameView(f.prev), plane, mask, 24, stride);
+  bool odd = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frame_difference(ConstFrameView(f.cur), ConstFrameView(f.prev), mask, 24, stride));
+    const ConstFrameView frame(odd ? f.prev : f.cur);
+    benchmark::DoNotOptimize(frame_difference(frame, plane, mask, 24, stride));
+    benchmark::DoNotOptimize(mask.data());
+    benchmark::ClobberMemory();
+    odd = !odd;
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -18,6 +18,9 @@
 #            JSON output — a CI-speed smoke that the binaries still run.
 #            The Release gate is skipped since nothing is recorded.
 #
+# Each JSON's "context" records the host: nproc, cpu_model (from
+# /proc/cpuinfo) and compiler (the build's CMAKE_CXX_COMPILER --version).
+#
 # Environment:
 #   BENCH_FILTER       --benchmark_filter regex (default: all)
 #   BENCH_REPETITIONS  --benchmark_repetitions (default: 1)
@@ -56,9 +59,21 @@ if [[ "$SMOKE" -eq 0 ]]; then
   fi
 fi
 
+# Host record. google/benchmark's own context has the core count and
+# caches but neither the CPU model nor the compiler, so add them. Commas
+# and '=' would split its key=value list, so they become spaces.
+context_value() { tr ',=' '  ' <<<"$1"; }
+cpu_model="$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | sed 's/^ *//' || true)"
+cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$BUILD/CMakeCache.txt" 2>/dev/null || true)"
+compiler="$("${cxx:-c++}" --version 2>/dev/null | head -n1 || true)"
+context="nproc=$(nproc)"
+context+=",cpu_model=$(context_value "${cpu_model:-unknown}")"
+context+=",compiler=$(context_value "${compiler:-unknown}")"
+
 common_args=(
   "--benchmark_filter=${BENCH_FILTER:-.}"
   "--benchmark_repetitions=${BENCH_REPETITIONS:-1}"
+  "--benchmark_context=$context"
 )
 
 run() {

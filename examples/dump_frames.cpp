@@ -30,7 +30,10 @@ int main(int argc, char** argv) {
     gen.render(ts - 1, prev, stride);
     gen.render(ts, cur, stride);
 
-    frame_difference(ConstFrameView(cur), ConstFrameView(prev), mask, 24, stride);
+    // Store the previous frame's luma, then difference against it.
+    LumaPlane prev_luma;
+    frame_difference(ConstFrameView(prev), prev_luma, mask, 24, stride);
+    frame_difference(ConstFrameView(cur), prev_luma, mask, 24, stride);
     color_histogram(ConstFrameView(cur), hist_payload, stride);
 
     // Detect both models and overlay results.

@@ -137,6 +137,8 @@ ARU_ARG_MACROS = {"ARU_ACQUIRES_RANK", "ARU_ANALYZE_ESCAPE"}
 DECL_NOISE_MACROS = TSA_MACROS | {
     "CAPABILITY", "SCOPED_CAPABILITY", "GUARDED_BY", "PT_GUARDED_BY",
     "ACQUIRED_BEFORE", "ACQUIRED_AFTER",
+    # code-generation attribute (util/static_annotations.hpp)
+    "ARU_TARGET_AVX2",
 }
 
 

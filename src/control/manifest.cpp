@@ -1,6 +1,7 @@
 #include "control/manifest.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace stampede::control {
 
@@ -50,6 +51,10 @@ Manifest Manifest::parse(const Options& opts) {
   m.pipeline = opts.get_string("pipeline", "");
   if (m.pipeline.empty()) bad("missing required key 'pipeline='");
   m.params = PipelineParams::from_options(opts);
+  if (m.params.stride < 1) {
+    bad("stride must be >= 1 (got " + std::to_string(m.params.stride) +
+        "; the vision kernels step by it)");
+  }
 
   for (const std::string& key : opts.keys()) {
     if (has_prefix(key, kNodePrefix)) {

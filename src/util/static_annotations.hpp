@@ -70,3 +70,14 @@
 /// escapes that cannot be expressed as an annotation (e.g. the channel's
 /// own condition-variable wait) live in scripts/analyze/baseline.txt.
 #define ARU_ANALYZE_ESCAPE(reason) ARU_ANALYZE_ATTR__("aru_escape:" reason)
+
+/// Compiles one function for AVX2 on x86 (a no-op elsewhere). Unlike the
+/// markers above it changes code generation; it lives here so the
+/// analyzer skips it as declaration noise and keeps following calls into
+/// the AVX2 instance of a CPUID-dispatched loop. Callers must check the
+/// CPU before calling such a function (see vision/kernels.cpp).
+#if defined(__x86_64__) || defined(__i386__)
+#define ARU_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define ARU_TARGET_AVX2
+#endif

@@ -1,5 +1,6 @@
 #include "vision/frame.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -141,21 +142,33 @@ void SceneGenerator::render(std::int64_t index, std::span<std::byte> data, int s
 
   for (int y = 0; y < kHeight; y += stride) {
     std::uint8_t* row = frame.row(y);
+    // Noisy gray background: one draw per grid pixel, in row-major order.
     for (int x = 0; x < kWidth; x += stride) {
-      // Noisy gray background.
       const auto noise = static_cast<std::uint8_t>(96 + (rng.next() & 31));
-      Rgb px{noise, noise, noise};
-      for (const Blob& b : scene.blobs) {
+      std::uint8_t* out = row + 3 * x;
+      out[0] = noise;
+      out[1] = noise;
+      out[2] = noise;
+    }
+    // Blobs in order, so a later blob wins where they overlap. Each paints
+    // only the grid columns of its chord on this row, widened by one column
+    // each side; the exact disc predicate still decides every column.
+    for (const Blob& b : scene.blobs) {
+      const double dy = y - b.cy;
+      const double r2 = b.radius * b.radius;
+      if (dy * dy > r2) continue;  // dx² + dy² ≥ dy² > r², whatever dx
+      const double half = std::sqrt(r2 - dy * dy);
+      const int lo = std::max(0, static_cast<int>(std::floor(b.cx - half)) - 1);
+      const int hi = std::min(kWidth - 1, static_cast<int>(std::ceil(b.cx + half)) + 1);
+      for (int x = (lo + stride - 1) / stride * stride; x <= hi; x += stride) {
         const double dx = x - b.cx;
-        const double dy = y - b.cy;
-        if (dx * dx + dy * dy <= b.radius * b.radius) {
-          px = b.color;
+        if (dx * dx + dy * dy <= r2) {
+          std::uint8_t* out = row + 3 * x;
+          out[0] = b.color.r;
+          out[1] = b.color.g;
+          out[2] = b.color.b;
         }
       }
-      std::uint8_t* out = row + 3 * x;
-      out[0] = px.r;
-      out[1] = px.g;
-      out[2] = px.b;
     }
   }
 }

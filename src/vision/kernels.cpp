@@ -10,22 +10,120 @@
 #include <utility>
 #include <vector>
 
+#include "vision/kernels_internal.hpp"
+
 namespace stampede::vision {
 
 namespace {
 
 /// Grayscale intensity of an interleaved-RGB pixel (matches
-/// FrameView::luminance).
-inline int luma(const std::uint8_t* px) {
-  return (static_cast<int>(px[0]) * 299 + static_cast<int>(px[1]) * 587 +
-          static_cast<int>(px[2]) * 114) /
-         1000;
+/// FrameView::luminance). Unsigned, so the stride-1 row loops vectorize the
+/// division by 1000 as a high-half multiply.
+inline unsigned luma(const std::uint8_t* px) {
+  return (px[0] * 299u + px[1] * 587u + px[2] * 114u) / 1000u;
 }
 
 /// Histogram bin for an interleaved-RGB pixel (matches hist_bin(Rgb);
 /// 16 bins per axis reduces to a shift).
-inline int pixel_bin(const std::uint8_t* px) {
-  return ((px[0] >> 4) << 8) | ((px[1] >> 4) << 4) | (px[2] >> 4);
+inline unsigned pixel_bin(const std::uint8_t* px) {
+  return ((px[0] >> 4u) << 8u) | ((px[1] >> 4u) << 4u) | (px[2] >> 4u);
+}
+
+/// One mask pixel: compares luma(`px`) with the stored luma, writes the
+/// mask byte and stores the new luma. Returns 1 if the pixel moved.
+inline int luma_mask_pixel(const std::uint8_t* px, std::uint8_t& stored, std::byte& mask,
+                           int threshold) {
+  const unsigned l = luma(px);
+  const int d = std::abs(static_cast<int>(l) - static_cast<int>(stored));
+  const bool on = d > threshold;
+  mask = std::byte{static_cast<unsigned char>(on ? 255 : 0)};
+  stored = static_cast<std::uint8_t>(l);
+  return on ? 1 : 0;
+}
+
+// -- CPUID-dispatched stride-1 row loops ---------------------------------------
+//
+// Each loop body below is written once, forced inline, and instantiated
+// twice: `*_base` for baseline x86-64 and `*_avx2` under ARU_TARGET_AVX2.
+// Kernels pick one per call with use_avx2_rows(), and only for stride 1,
+// where the row is contiguous and vectorizes. Both instances compute the
+// same integers, so the choice never changes output; tests run both
+// through detail::set_row_path. Manual dispatch rather than gcc's
+// target_clones: the latter's ifunc resolver crashes under
+// -fsanitize=thread, while a function-local CPUID check does not.
+
+[[gnu::always_inline]] inline int luma_mask_row(const std::uint8_t* __restrict rgb,
+                                                std::uint8_t* __restrict stored,
+                                                std::byte* __restrict mask, int width,
+                                                int threshold) {
+  int moving = 0;
+  for (int x = 0; x < width; ++x) {
+    moving += luma_mask_pixel(rgb + 3 * x, stored[x], mask[x], threshold);
+  }
+  return moving;
+}
+
+[[gnu::always_inline]] inline void bin_row(const std::uint8_t* __restrict rgb,
+                                           std::uint16_t* __restrict bins, int width) {
+  for (int x = 0; x < width; ++x) {
+    bins[x] = static_cast<std::uint16_t>(pixel_bin(rgb + 3 * x));
+  }
+}
+
+int luma_mask_row_base(const std::uint8_t* rgb, std::uint8_t* stored, std::byte* mask,
+                       int width, int threshold) {
+  return luma_mask_row(rgb, stored, mask, width, threshold);
+}
+
+ARU_TARGET_AVX2 int luma_mask_row_avx2(const std::uint8_t* rgb, std::uint8_t* stored,
+                                       std::byte* mask, int width, int threshold) {
+  return luma_mask_row(rgb, stored, mask, width, threshold);
+}
+
+void bin_row_base(const std::uint8_t* rgb, std::uint16_t* bins, int width) {
+  bin_row(rgb, bins, width);
+}
+
+ARU_TARGET_AVX2 void bin_row_avx2(const std::uint8_t* rgb, std::uint16_t* bins,
+                                  int width) {
+  bin_row(rgb, bins, width);
+}
+
+/// Adds the histogram of `n` bin indices to `counts`. Gray background
+/// pixels fall into very few bins, so on a dense grid a single count array
+/// serializes on store-to-load forwarding of the same counter; four
+/// interleaved arrays, summed at the end, break that chain.
+void count_dense(const std::uint16_t* bins, std::size_t n,
+                 std::array<std::int32_t, kHistBins>& counts) {
+  std::array<std::array<std::int32_t, kHistBins>, 3> more{};
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    ++counts[bins[k]];
+    ++more[0][bins[k + 1]];
+    ++more[1][bins[k + 2]];
+    ++more[2][bins[k + 3]];
+  }
+  for (; k < n; ++k) ++counts[bins[k]];
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] += more[0][i] + more[1][i] + more[2][i];
+  }
+}
+
+bool cpu_has_avx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+thread_local detail::RowPath forced_row_path = detail::RowPath::kByCpuid;
+
+/// Whether this kernel call runs the AVX2 row instances.
+bool use_avx2_rows() {
+  static const bool has_avx2 = cpu_has_avx2();
+  return has_avx2 && forced_row_path == detail::RowPath::kByCpuid;
 }
 
 /// Per-channel Gaussian weight tables for w = exp(-‖c - model‖²/2σ²).
@@ -79,80 +177,99 @@ const ColorWeightLut& weight_lut(Rgb model) {
 
 }  // namespace
 
-int frame_difference(ConstFrameView cur, ConstFrameView prev, std::span<std::byte> mask_out,
+int frame_difference(ConstFrameView cur, LumaPlane& prev, std::span<std::byte> mask_out,
                      int threshold, int stride) {
-  if (mask_out.size() < kMaskBytes) {
-    throw std::invalid_argument("frame_difference: mask buffer too small");
+  if (stride <= 0) throw std::invalid_argument("frame_difference: stride must be positive");
+  if (mask_out.size() < kMaskBytes || prev.luma.size() < kMaskBytes) {
+    throw std::invalid_argument("frame_difference: mask or luma buffer too small");
   }
+  // Without a stored frame no pixel can move: |Δluma| never exceeds 255,
+  // so the same loop writes an all-zero mask while storing this frame.
+  const int effective_threshold = prev.valid ? threshold : 255;
+  const bool avx2 = use_avx2_rows();
   int moving = 0;
   const int height = cur.height();
   const int width = cur.width();
   for (int y = 0; y < height; y += stride) {
-    const std::uint8_t* cur_row = cur.row(y);
-    const std::uint8_t* prev_row = prev.row(y);
-    std::byte* mask_row = mask_out.data() + static_cast<std::size_t>(y) * kWidth;
-    for (int x = 0; x < width; x += stride) {
-      const int d = std::abs(luma(cur_row + 3 * x) - luma(prev_row + 3 * x));
-      const bool on = d > threshold;
-      mask_row[x] = std::byte{static_cast<unsigned char>(on ? 255 : 0)};
-      moving += on ? 1 : 0;
+    const std::uint8_t* rgb = cur.row(y);
+    const std::size_t off = static_cast<std::size_t>(y) * kWidth;
+    std::uint8_t* stored = prev.luma.data() + off;
+    std::byte* mask_row = mask_out.data() + off;
+    if (stride == 1) {
+      moving += avx2 ? luma_mask_row_avx2(rgb, stored, mask_row, width, effective_threshold)
+                     : luma_mask_row_base(rgb, stored, mask_row, width, effective_threshold);
+    } else {
+      for (int x = 0; x < width; x += stride) {
+        moving += luma_mask_pixel(rgb + 3 * x, stored[x], mask_row[x], effective_threshold);
+      }
     }
   }
+  prev.valid = true;
   return moving;
 }
 
 void color_histogram(ConstFrameView frame, std::span<std::byte> histogram_payload,
                      int stride) {
+  if (stride <= 0) throw std::invalid_argument("color_histogram: stride must be positive");
   HistogramView hist(histogram_payload);
   auto bins = hist.bins();
-  std::fill(bins.begin(), bins.end(), 0.0f);
 
-  // Single pass over the frame: integer bin counts accumulate while each
-  // sampled pixel's bin index is parked in a scratch list (reused across
-  // calls), so the backprojection pass below never re-reads frame bytes or
-  // redoes the bin arithmetic. Counts stay exact in float (well under
-  // 2^24 samples), so deferred normalization matches the old
-  // accumulate-then-divide form bit for bit.
-  static thread_local std::vector<std::uint16_t> bin_scratch;
-  bin_scratch.clear();
+  // Bin pass: each sampled pixel's bin index goes into a scratch list
+  // (thread-local, grown once), so the backprojection pass below never
+  // re-reads frame bytes or redoes the bin arithmetic. Counts are exact
+  // integers. At stride 1 the bins come from the dispatched, vectorized row
+  // loop and are counted afterwards; sparse grids count as they go.
   const int height = frame.height();
   const int width = frame.width();
-  bin_scratch.reserve(static_cast<std::size_t>((height + stride - 1) / stride) *
-                      static_cast<std::size_t>((width + stride - 1) / stride));
-
+  const int cols = (width + stride - 1) / stride;
+  const std::size_t samples = static_cast<std::size_t>((height + stride - 1) / stride) *
+                              static_cast<std::size_t>(cols);
+  static thread_local std::vector<std::uint16_t> bin_scratch;
+  if (bin_scratch.size() < samples) bin_scratch.resize(samples);
   std::array<std::int32_t, kHistBins> counts{};
-  int samples = 0;
-  for (int y = 0; y < height; y += stride) {
+  const bool avx2 = use_avx2_rows();
+  std::uint16_t* out = bin_scratch.data();
+  for (int y = 0; y < height; y += stride, out += cols) {
     const std::uint8_t* row = frame.row(y);
-    for (int x = 0; x < width; x += stride) {
-      const auto bin = static_cast<std::uint16_t>(pixel_bin(row + 3 * x));
-      ++counts[bin];
-      bin_scratch.push_back(bin);
-      ++samples;
+    if (stride == 1) {
+      if (avx2) {
+        bin_row_avx2(row, out, width);
+      } else {
+        bin_row_base(row, out, width);
+      }
+    } else {
+      for (int x = 0, k = 0; x < width; x += stride, ++k) {
+        const auto bin = static_cast<std::uint16_t>(pixel_bin(row + 3 * x));
+        out[k] = bin;
+        ++counts[bin];
+      }
     }
   }
+  if (stride == 1) count_dense(bin_scratch.data(), samples, counts);
 
   // Normalized frequencies plus a per-bin byte value for the
   // backprojection map, so each output pixel is a single table lookup.
+  // Counts are exact in float (well under 2^24 samples), so deferred
+  // normalization matches accumulate-then-divide bit for bit.
   std::array<std::byte, kHistBins> bp_lut;
+  const auto total = static_cast<float>(samples);
   for (std::size_t i = 0; i < static_cast<std::size_t>(kHistBins); ++i) {
-    if (samples > 0) bins[i] = static_cast<float>(counts[i]) / static_cast<float>(samples);
+    bins[i] = samples > 0 ? static_cast<float>(counts[i]) / total : 0.0f;
     bp_lut[i] = std::byte{static_cast<unsigned char>(std::min(255.0f, bins[i] * 2550.0f))};
   }
 
   auto bp = hist.backprojection();
-  std::size_t k = 0;
-  for (int y = 0; y < height; y += stride) {
+  const std::uint16_t* in = bin_scratch.data();
+  for (int y = 0; y < height; y += stride, in += cols) {
     std::byte* bp_row = bp.data() + static_cast<std::size_t>(y) * kWidth;
-    for (int x = 0; x < width; x += stride) {
-      bp_row[x] = bp_lut[bin_scratch[k++]];
-    }
+    for (int x = 0, i = 0; x < width; x += stride, ++i) bp_row[x] = bp_lut[in[i]];
   }
 }
 
 LocationRecord detect_target(ConstFrameView frame, std::span<const std::byte> mask,
                              ConstHistogramView histogram, Rgb model, int model_index,
                              int stride) {
+  if (stride <= 0) throw std::invalid_argument("detect_target: stride must be positive");
   const bool use_mask = mask.size() >= kMaskBytes;
   const auto bins = histogram.bins();
   // Gaussian-ish color similarity via per-channel weight tables.
@@ -360,5 +477,13 @@ std::vector<Blob8> connected_components(std::span<const std::byte> mask, int str
             [](const Blob8& a, const Blob8& b) { return a.pixels > b.pixels; });
   return blobs;
 }
+
+namespace detail {
+
+void set_row_path(RowPath path) { forced_row_path = path; }
+
+bool avx2_rows() { return use_avx2_rows(); }
+
+}  // namespace detail
 
 }  // namespace stampede::vision

@@ -8,6 +8,7 @@
 /// accuracy can be validated against the generator's ground truth.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -17,15 +18,27 @@
 
 namespace stampede::vision {
 
-/// Motion mask: |luma(cur) − luma(prev)| > threshold → 255, else 0.
-/// Touches every `stride`-th pixel; returns the number of moving pixels.
-ARU_HOT_PATH int frame_difference(ConstFrameView cur, ConstFrameView prev,
+/// Luma of the previously differenced frame, one byte per pixel on the
+/// caller's stride grid (the background stage's only state). Sized for a
+/// full frame; only grid positions are read and written, so one plane must
+/// be used with one stride.
+struct LumaPlane {
+  std::vector<std::uint8_t> luma = std::vector<std::uint8_t>(kMaskBytes);
+  bool valid = false;  ///< false until a frame has been stored
+};
+
+/// Motion mask: |luma(cur) − prev| > threshold → 255, else 0, for every
+/// `stride`-th pixel of every `stride`-th row; then stores luma(cur) into
+/// `prev` for the next call. Without a stored frame (`prev.valid` false)
+/// the mask is all zero on the grid. Returns the number of moving pixels.
+/// Throws std::invalid_argument on stride <= 0 or an undersized buffer.
+ARU_HOT_PATH int frame_difference(ConstFrameView cur, LumaPlane& prev,
                                   std::span<std::byte> mask_out, int threshold = 24,
                                   int stride = kDefaultStride);
 
 /// Builds the normalized 16^3-bin RGB histogram of `frame` and a
 /// per-pixel backprojection byte map (bin frequency scaled to 0-255) into
-/// the histogram payload.
+/// the histogram payload. Throws std::invalid_argument on stride <= 0.
 ARU_HOT_PATH void color_histogram(ConstFrameView frame,
                                   std::span<std::byte> histogram_payload,
                                   int stride = kDefaultStride);
@@ -34,7 +47,8 @@ ARU_HOT_PATH void color_histogram(ConstFrameView frame,
 /// pixels where the motion mask is set (or all pixels when the mask is
 /// empty/absent), weighting each by its color-model similarity, and
 /// returns the weighted centroid. The histogram backprojection is used to
-/// discount colors common in the whole frame.
+/// discount colors common in the whole frame. Throws
+/// std::invalid_argument on stride <= 0.
 ARU_HOT_PATH LocationRecord detect_target(ConstFrameView frame,
                                           std::span<const std::byte> mask,
                                           ConstHistogramView histogram, Rgb model,

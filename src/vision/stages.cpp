@@ -1,8 +1,6 @@
 #include "vision/stages.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <vector>
 
 #include "vision/kernels.hpp"
 #include "vision/records.hpp"
@@ -65,12 +63,10 @@ TaskBody make_digitizer(std::shared_ptr<SceneGenerator> gen, StageCosts costs,
 }
 
 TaskBody make_background(StageCosts costs, int stride) {
-  struct State {
-    std::vector<std::byte> prev = std::vector<std::byte>(kFrameBytes);
-    bool has_prev = false;
-  };
-  auto state = std::make_shared<State>();
-  return [state, costs, stride](TaskContext& ctx) {
+  // The previous frame's luma on the stride grid; frame_difference both
+  // reads and refreshes it.
+  auto prev = std::make_shared<LumaPlane>();
+  return [prev, costs, stride](TaskContext& ctx) {
     auto frame = ctx.get(0);
     if (!frame) return TaskStatus::kDone;
 
@@ -84,18 +80,10 @@ TaskBody make_background(StageCosts costs, int stride) {
 
     auto mask = ctx.make_item(frame->ts(), kMaskBytes, {frame->id()});
     timed_stage_work(ctx, costs.background, costs.jitter, [&] {
-      const ConstFrameView cur(frame->data());
-      if (state->has_prev) {
-        const ConstFrameView prev(std::span<const std::byte>(state->prev));
-        frame_difference(cur, prev, mask->mutable_data(), /*threshold=*/24, stride);
-      } else {
-        // No previous frame yet: emit an explicit no-motion mask. Pooled
-        // payloads are not zero-filled, so the first mask must be written
-        // like any other — frame_difference covers the later ones.
-        std::memset(mask->mutable_data().data(), 0, kMaskBytes);
-      }
-      std::memcpy(state->prev.data(), frame->data().data(), kFrameBytes);
-      state->has_prev = true;
+      // The first call has no stored luma and writes an all-zero mask on
+      // the grid; pooled payloads are not zero-filled, so that matters.
+      frame_difference(ConstFrameView(frame->data()), *prev, mask->mutable_data(),
+                       /*threshold=*/24, stride);
     });
     ctx.put(0, mask);
     return TaskStatus::kContinue;

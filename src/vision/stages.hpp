@@ -2,7 +2,7 @@
 /// \brief Task-body factories for the five tracker stages (paper Fig. 5).
 ///
 /// Each factory returns a `TaskBody` closure holding its stage state
-/// (previous frame, scene generator, ...). Stage compute cost is the
+/// (previous frame's luma, scene generator, ...). Stage compute cost is the
 /// measured real kernel time plus emulated padding up to a jittered
 /// per-iteration target — reproducing the paper's data-dependent,
 /// OS-noise-perturbed execution times (§3.1) at a controllable scale.
@@ -44,7 +44,8 @@ Nanos jittered(Nanos base, double jitter, Xoshiro256& rng);
 TaskBody make_digitizer(std::shared_ptr<SceneGenerator> gen, StageCosts costs,
                         std::int64_t max_frames, int stride = kDefaultStride);
 
-/// Background / motion mask: input 0 = frames, output 0 = masks.
+/// Background / motion mask: input 0 = frames, output 0 = masks. Its only
+/// state is the previous frame's luma on the stride grid (a LumaPlane).
 TaskBody make_background(StageCosts costs, int stride = kDefaultStride);
 
 /// Color histogram: input 0 = frames, output 0 = histogram models.

@@ -28,7 +28,11 @@ FIXTURES = [
     ("control_rank", "rank-order"),
     ("control_escape", "hot-block"),
     ("net_window", "hot-alloc"),
+    ("dispatch_avx2", "hot-alloc"),
 ]
+
+# fixtures whose violating run must name this function on the finding path
+PATH_FIXTURES = {"dispatch_avx2": "row_avx2"}
 
 # fixtures whose fixed run must report a sanctioned escape edge
 ESCAPE_FIXTURES = {"escape_hatch", "control_escape"}
@@ -90,6 +94,9 @@ def main():
         elif f"[{rule}]" not in out:
             failures.append(f"{name}: violating run did not report a "
                             f"{rule} finding\n{out}")
+        elif name in PATH_FIXTURES and PATH_FIXTURES[name] not in out:
+            failures.append(f"{name}: finding path does not pass through "
+                            f"{PATH_FIXTURES[name]}\n{out}")
 
         rc, out = run_analyzer(d, ["ARU_FIXTURE_FIXED"])
         if rc != 0:

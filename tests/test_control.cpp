@@ -152,6 +152,23 @@ TEST(Manifest, ParseRejectsStructuralGarbage) {
       << "empty placement target";
 }
 
+TEST(Manifest, ParseRejectsNonPositiveStride) {
+  for (const char* stride : {"0", "-2"}) {
+    const std::string text =
+        std::string("pipeline=tracker\nnode.a=127.0.0.1:1\nstride=") + stride + "\n";
+    try {
+      (void)Manifest::parse(opts(text));
+      ADD_FAILURE() << "stride=" << stride << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("manifest: stride must be >= 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(Manifest::parse(opts("pipeline=tracker\nnode.a=127.0.0.1:1\nstride=1\n"))
+                .params.stride,
+            1);
+}
+
 TEST(Manifest, ValidateNamesTheFirstProblem) {
   const PipelineSpec& spec = *find_pipeline("tracker");
   const auto expect_invalid = [&spec](std::string text, const std::string& needle) {

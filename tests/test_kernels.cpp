@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
+
+#include "vision/kernels_internal.hpp"
 
 namespace stampede::vision {
 namespace {
@@ -13,6 +17,27 @@ std::vector<std::byte> render(const SceneGenerator& gen, std::int64_t index,
   std::vector<std::byte> buf(kFrameBytes);
   gen.render(index, buf, stride);
   return buf;
+}
+
+/// Motion mask of `cur` against `prev`: stores prev's luma in a fresh
+/// plane, then differences cur against it.
+int difference(std::span<const std::byte> cur, std::span<const std::byte> prev,
+               std::span<std::byte> mask, int threshold, int stride) {
+  LumaPlane plane;
+  frame_difference(ConstFrameView(prev), plane, mask, threshold, stride);
+  return frame_difference(ConstFrameView(cur), plane, mask, threshold, stride);
+}
+
+/// Runs `body` once on the CPUID-chosen row loops and once forced onto
+/// the baseline instances (the same code twice on a host without AVX2).
+template <typename Fn>
+void for_each_row_path(Fn&& body) {
+  for (const auto path : {detail::RowPath::kByCpuid, detail::RowPath::kBaseline}) {
+    SCOPED_TRACE(path == detail::RowPath::kBaseline ? "baseline rows" : "cpuid rows");
+    detail::set_row_path(path);
+    body();
+  }
+  detail::set_row_path(detail::RowPath::kByCpuid);
 }
 
 TEST(SceneGenerator, DeterministicPerSeedAndFrame) {
@@ -85,8 +110,7 @@ TEST(FrameDifference, StaticSceneProducesEmptyMask) {
   SceneGenerator gen(3);
   const auto a = render(gen, 5, 4);
   std::vector<std::byte> mask(kMaskBytes);
-  const int moving = frame_difference(ConstFrameView(a), ConstFrameView(a), mask,
-                                      /*threshold=*/24, /*stride=*/4);
+  const int moving = difference(a, a, mask, /*threshold=*/24, /*stride=*/4);
   EXPECT_EQ(moving, 0);
 }
 
@@ -95,7 +119,7 @@ TEST(FrameDifference, MovingBlobIsDetected) {
   const auto a = render(gen, 5, 4);
   const auto b = render(gen, 25, 4);  // blobs moved substantially
   std::vector<std::byte> mask(kMaskBytes);
-  const int moving = frame_difference(ConstFrameView(b), ConstFrameView(a), mask, 24, 4);
+  const int moving = difference(b, a, mask, 24, 4);
   EXPECT_GT(moving, 20);
 }
 
@@ -103,7 +127,31 @@ TEST(FrameDifference, SmallMaskBufferThrows) {
   SceneGenerator gen(1);
   const auto a = render(gen, 0);
   std::vector<std::byte> tiny(16);
-  EXPECT_THROW(frame_difference(ConstFrameView(a), ConstFrameView(a), tiny), std::invalid_argument);
+  LumaPlane plane;
+  EXPECT_THROW(frame_difference(ConstFrameView(a), plane, tiny), std::invalid_argument);
+  std::vector<std::byte> mask(kMaskBytes);
+  LumaPlane short_plane;
+  short_plane.luma.resize(16);
+  EXPECT_THROW(frame_difference(ConstFrameView(a), short_plane, mask),
+               std::invalid_argument);
+}
+
+TEST(KernelStride, NonPositiveStrideThrows) {
+  SceneGenerator gen(1);
+  const auto frame = render(gen, 0, 1);
+  std::vector<std::byte> mask(kMaskBytes);
+  std::vector<std::byte> hist_payload(kHistogramBytes);
+  LumaPlane plane;
+  for (const int stride : {0, -2}) {
+    SCOPED_TRACE(stride);
+    EXPECT_THROW(frame_difference(ConstFrameView(frame), plane, mask, 24, stride),
+                 std::invalid_argument);
+    EXPECT_THROW(color_histogram(ConstFrameView(frame), hist_payload, stride),
+                 std::invalid_argument);
+    EXPECT_THROW(detect_target(ConstFrameView(frame), mask, ConstHistogramView(hist_payload),
+                               gen.model_color(0), 0, stride),
+                 std::invalid_argument);
+  }
 }
 
 TEST(ColorHistogram, BinsAreNormalized) {
@@ -138,7 +186,7 @@ TEST(DetectTarget, FindsBlobNearGroundTruth) {
   const auto prev = render(gen, 30, 2);
   const auto cur = render(gen, 31, 2);
   std::vector<std::byte> mask(kMaskBytes);
-  frame_difference(ConstFrameView(cur), ConstFrameView(prev), mask, 24, 2);
+  difference(cur, prev, mask, 24, 2);
   std::vector<std::byte> hist_payload(kHistogramBytes);
   color_histogram(ConstFrameView(cur), hist_payload, 2);
 
@@ -263,7 +311,7 @@ TEST(ConnectedComponents, MovingBlobsYieldComponentsOnRealMask) {
   const auto a = render(gen, 5, 4);
   const auto b = render(gen, 25, 4);
   std::vector<std::byte> mask(kMaskBytes);
-  frame_difference(ConstFrameView(b), ConstFrameView(a), mask, 24, 4);
+  difference(b, a, mask, 24, 4);
   const auto blobs = connected_components(mask, 4, 3);
   EXPECT_GE(blobs.size(), 1u);  // at least the moved blobs stand out
 }
@@ -391,7 +439,7 @@ TEST(KernelGolden, DetectTargetMatchesExpReference) {
   const auto prev = render(gen, 30, 1);
   const auto cur = render(gen, 31, 1);
   std::vector<std::byte> mask(kMaskBytes);
-  frame_difference(ConstFrameView(cur), ConstFrameView(prev), mask, 24, 1);
+  difference(cur, prev, mask, 24, 1);
   std::vector<std::byte> hist_payload(kHistogramBytes);
   color_histogram(ConstFrameView(cur), hist_payload, 1);
   const ConstHistogramView hist(hist_payload);
@@ -449,41 +497,135 @@ TEST(KernelGolden, MeanShiftMatchesExpReference) {
 
 TEST(KernelGolden, ColorHistogramMatchesTwoPassReference) {
   SceneGenerator gen(42);
-  for (const int stride : {1, 3, 8}) {
-    const auto frame = render(gen, 12, 1);
-    std::vector<std::byte> got_payload(kHistogramBytes);
-    std::vector<std::byte> want_payload(kHistogramBytes);
-    color_histogram(ConstFrameView(frame), got_payload, stride);
-    ref_color_histogram(ConstFrameView(frame), want_payload, stride);
-    // The fused pass defers normalization but computes the same exact
-    // counts, so the payload must match byte for byte.
-    EXPECT_EQ(got_payload, want_payload) << "stride=" << stride;
-  }
+  const auto frame = render(gen, 12, 1);
+  for_each_row_path([&] {
+    for (const int stride : {1, 2, 3, 8}) {
+      std::vector<std::byte> got_payload(kHistogramBytes);
+      std::vector<std::byte> want_payload(kHistogramBytes);
+      color_histogram(ConstFrameView(frame), got_payload, stride);
+      ref_color_histogram(ConstFrameView(frame), want_payload, stride);
+      // The fused pass defers normalization but computes the same exact
+      // counts, so the payload must match byte for byte.
+      EXPECT_EQ(got_payload, want_payload) << "stride=" << stride;
+    }
+  });
 }
 
 TEST(KernelGolden, FrameDifferenceMatchesPerPixelReference) {
   SceneGenerator gen(42);
   const auto a = render(gen, 5, 1);
   const auto b = render(gen, 9, 1);
-  for (const int stride : {1, 4}) {
-    std::vector<std::byte> got(kMaskBytes);
-    std::vector<std::byte> want(kMaskBytes);
-    const int got_moving =
-        frame_difference(ConstFrameView(b), ConstFrameView(a), got, 24, stride);
-    // Reference: the original per-pixel luminance formulation.
-    int want_moving = 0;
-    const ConstFrameView cur(b), prev(a);
-    for (int y = 0; y < cur.height(); y += stride) {
-      for (int x = 0; x < cur.width(); x += stride) {
-        const int d = std::abs(cur.luminance(x, y) - prev.luminance(x, y));
-        const bool on = d > 24;
-        want[static_cast<std::size_t>(y) * kWidth + static_cast<std::size_t>(x)] =
-            std::byte{static_cast<unsigned char>(on ? 255 : 0)};
-        want_moving += on ? 1 : 0;
+  for_each_row_path([&] {
+    for (const int stride : {1, 2, 3, 8}) {
+      SCOPED_TRACE(::testing::Message() << "stride=" << stride);
+      // Reference: the original two-frame per-pixel luminance formulation;
+      // a missing previous frame means an all-zero mask on the grid.
+      const auto reference = [&](const ConstFrameView* prev, const ConstFrameView& cur,
+                                 std::vector<std::byte>& want) {
+        int want_moving = 0;
+        for (int y = 0; y < cur.height(); y += stride) {
+          for (int x = 0; x < cur.width(); x += stride) {
+            const bool on =
+                prev != nullptr && std::abs(cur.luminance(x, y) - prev->luminance(x, y)) > 24;
+            want[static_cast<std::size_t>(y) * kWidth + static_cast<std::size_t>(x)] =
+                std::byte{static_cast<unsigned char>(on ? 255 : 0)};
+            want_moving += on ? 1 : 0;
+          }
+        }
+        return want_moving;
+      };
+      const ConstFrameView prev(a), cur(b);
+      // Same poison in both, so a write between grid points shows up.
+      std::vector<std::byte> got(kMaskBytes, std::byte{0x5A});
+      std::vector<std::byte> want(kMaskBytes, std::byte{0x5A});
+      LumaPlane plane;
+      // No previous frame: the plane is seeded from `a`.
+      EXPECT_EQ(frame_difference(prev, plane, got, 24, stride),
+                reference(nullptr, prev, want));
+      EXPECT_EQ(got, want);
+      for (int y = 0; y < kHeight; y += stride) {
+        for (int x = 0; x < kWidth; x += stride) {
+          ASSERT_EQ(plane.luma[static_cast<std::size_t>(y) * kWidth +
+                               static_cast<std::size_t>(x)],
+                    prev.luminance(x, y));
+        }
+      }
+      EXPECT_EQ(frame_difference(cur, plane, got, 24, stride), reference(&prev, cur, want));
+      EXPECT_EQ(got, want);
+    }
+  });
+}
+
+/// The parent implementation of SceneGenerator::render: two disc tests per
+/// grid pixel, later blob wins. The chord renderer must match it exactly.
+void ref_render(const SceneGenerator& gen, std::uint64_t seed, std::int64_t index,
+                std::span<std::byte> data, int stride) {
+  FrameView frame(data);
+  const Scene scene = gen.scene_at(index);
+  Xoshiro256 rng(seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(index + 1)));
+  for (int y = 0; y < kHeight; y += stride) {
+    for (int x = 0; x < kWidth; x += stride) {
+      const auto noise = static_cast<std::uint8_t>(96 + (rng.next() & 31));
+      Rgb px{noise, noise, noise};
+      for (const Blob& b : scene.blobs) {
+        const double dx = x - b.cx;
+        const double dy = y - b.cy;
+        if (dx * dx + dy * dy <= b.radius * b.radius) px = b.color;
+      }
+      frame.set(x, y, px);
+    }
+  }
+}
+
+TEST(KernelGolden, RenderMatchesPerPixelReference) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+    const SceneGenerator gen(seed);
+    for (const int stride : {1, 2, 3, 8}) {
+      for (const std::int64_t index : {0LL, 17LL, 61LL, 250LL}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed=" << seed << " stride=" << stride << " index=" << index);
+        // Same poison in both, so bytes off the grid must match too.
+        std::vector<std::byte> got(kFrameBytes, std::byte{0xA5});
+        std::vector<std::byte> want(kFrameBytes, std::byte{0xA5});
+        gen.render(index, got, stride);
+        ref_render(gen, seed, index, want, stride);
+        ASSERT_EQ(got, want);
       }
     }
-    EXPECT_EQ(got_moving, want_moving) << "stride=" << stride;
-    EXPECT_EQ(got, want) << "stride=" << stride;
+  }
+}
+
+TEST(KernelDispatch, BothRowPathsAgreeByteForByte) {
+  // Full width, and a width whose row length is not a multiple of any
+  // vector width, so the vector loops' tails run too.
+  for (const int width : {kWidth, kWidth - 3}) {
+    SceneGenerator gen(17);
+    const auto a = render(gen, 40, 1);
+    const auto b = render(gen, 44, 1);
+    const ConstFrameView prev(a, width), cur(b, width);
+    struct Output {
+      std::vector<std::byte> mask = std::vector<std::byte>(kMaskBytes);
+      std::vector<std::byte> hist = std::vector<std::byte>(kHistogramBytes);
+      LumaPlane plane;
+      int moving = 0;
+    };
+    const auto run = [&](detail::RowPath path) {
+      detail::set_row_path(path);
+      Output out;
+      frame_difference(prev, out.plane, out.mask, 24, 1);
+      out.moving = frame_difference(cur, out.plane, out.mask, 24, 1);
+      color_histogram(cur, out.hist, 1);
+      detail::set_row_path(detail::RowPath::kByCpuid);
+      return out;
+    };
+    const Output native = run(detail::RowPath::kByCpuid);
+    const Output baseline = run(detail::RowPath::kBaseline);
+    SCOPED_TRACE(::testing::Message() << "width=" << width << " avx2=" << detail::avx2_rows());
+    EXPECT_GT(native.moving, 0);
+    EXPECT_EQ(native.moving, baseline.moving);
+    EXPECT_EQ(native.mask, baseline.mask);
+    EXPECT_EQ(native.plane.luma, baseline.plane.luma);
+    EXPECT_EQ(native.hist, baseline.hist);
   }
 }
 

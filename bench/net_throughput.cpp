@@ -17,6 +17,7 @@
 
 #include "net/remote_channel.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/registry.hpp"
 
 namespace stampede {
 namespace {
@@ -163,6 +164,62 @@ void BM_NetPutGetPipeUnpooled(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 2 * static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_NetPutGetPipeUnpooled)->Arg(1 << 16)->Arg(1 << 20);
+
+/// Fan-out get: two consumer proxies of one served channel in one process
+/// (the tracker's two detectors on `back`) each get every item. They share
+/// a replica slot, so the second get of an item is answered without its
+/// payload. The slot only points at replicas a consumer still holds, so
+/// the first consumer keeps its item while the second gets.
+/// `wire_bytes_per_item` is the traffic on both get links (both
+/// directions) per item consumed: about half the payload when every
+/// second get reuses the first one's replica, about the whole payload
+/// when nothing is shared.
+void BM_NetGetFanout(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  Loop loop(/*producers=*/0, /*consumers=*/2);
+  // The Loop's own proxy (private slot) stays idle; two proxies sharing
+  // one slot take consumer slots 0 and 1.
+  auto share = std::make_shared<net::ReplicaShare>();
+  net::RemoteChannel first(
+      loop.rt, net::RemoteChannelConfig{.name = "bench",
+                                        .transport = {.port = loop.server->port()},
+                                        .consumer_key = 0,
+                                        .share = share});
+  net::RemoteChannel second(
+      loop.rt, net::RemoteChannelConfig{.name = "bench",
+                                        .transport = {.port = loop.server->port()},
+                                        .consumer_key = 1,
+                                        .share = share});
+  const auto get = [&](net::RemoteChannel& proxy) {
+    return proxy.get_latest(aru::kUnknownStp, kNoTimestamp, loop.stop.get_token());
+  };
+  Timestamp ts = 0;
+  // Warm up: both links attach (the first get on a link has no epoch to
+  // offer a replica under).
+  loop.channel->put(loop.item(ts++, bytes), loop.stop.get_token());
+  (void)get(first);
+  (void)get(second);
+
+  // Both get links of this channel share one series per direction.
+  const telemetry::Registry::Labels labels = {{"link", "bench/get"}};
+  telemetry::Counter& rx = loop.rt.metrics().counter("aru_net_rx_bytes_total", "", labels);
+  telemetry::Counter& tx = loop.rt.metrics().counter("aru_net_tx_bytes_total", "", labels);
+  const std::uint64_t wire0 = rx.value() + tx.value();
+  for (auto _ : state) {
+    loop.channel->put(loop.item(ts++, bytes), loop.stop.get_token());
+    // The first consumer still holds its item when the second gets, as
+    // two concurrently running detectors do.
+    const auto held = get(first);
+    benchmark::DoNotOptimize(get(second));
+    benchmark::DoNotOptimize(held);
+  }
+  const auto consumed = static_cast<double>(2 * state.iterations());
+  state.counters["wire_bytes_per_item"] =
+      static_cast<double>(rx.value() + tx.value() - wire0) / consumed;
+  state.SetItemsProcessed(2 * state.iterations());
+  state.SetBytesProcessed(2 * state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_NetGetFanout)->Arg(1 << 16)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace stampede

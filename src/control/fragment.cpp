@@ -83,7 +83,9 @@ Fragment build_fragment(Runtime& rt, const Manifest& m, const PipelineSpec& spec
 
   // Local tasks, wired in port order; remote channels get one proxy per
   // (task, channel, direction) so each proxy's two links keep their
-  // single-writer discipline.
+  // single-writer discipline. The consumer proxies of one remote channel
+  // share one replica slot, so an item both read is fetched once.
+  std::map<std::string, std::shared_ptr<net::ReplicaShare>> shares;
   for (const PipelineSpec::Task& t : spec.tasks) {
     if (node_of_task(m, t.name) != node) continue;
     TaskBody body = spec.make_body(t.name, m.params, frag.state);
@@ -113,11 +115,14 @@ Fragment build_fragment(Runtime& rt, const Manifest& m, const PipelineSpec& spec
         continue;
       }
       const ManifestNode& host = m.channel_host(in);
+      std::shared_ptr<net::ReplicaShare>& share = shares[in];
+      if (!share) share = std::make_shared<net::ReplicaShare>();
       frag.proxies.push_back(std::make_unique<net::RemoteChannel>(
           rt, net::RemoteChannelConfig{
                   .name = in,
                   .transport = {.host = host.endpoint.host, .port = host.endpoint.port},
-                  .consumer_key = slot_of(t.name, in, /*producer=*/false)}));
+                  .consumer_key = slot_of(t.name, in, /*producer=*/false),
+                  .share = share}));
       rt.connect(*frag.proxies.back(), task);
     }
   }

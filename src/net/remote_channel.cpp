@@ -115,6 +115,30 @@ bool read_frame(TcpStream& stream, Nanos timeout, FrameHeader& header,
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// ReplicaShare
+// ---------------------------------------------------------------------------
+
+ReplicaShare::Pin ReplicaShare::pin(std::uint64_t epoch, Timestamp after) const {
+  if (epoch == 0) return {};
+  const util::MutexLock lock(mu_);
+  if (epoch_ != epoch || ts_ <= after) return {};
+  Pin p{.item = item_.lock()};
+  if (p.item) p.origin_id = origin_id_;
+  return p;
+}
+
+void ReplicaShare::publish(const std::shared_ptr<const Item>& item, std::uint64_t epoch,
+                           std::uint64_t origin_id) {
+  if (epoch == 0) return;
+  const util::MutexLock lock(mu_);
+  if (epoch_ == epoch && ts_ > item->ts() && !item_.expired()) return;
+  item_ = item;
+  epoch_ = epoch;
+  origin_id_ = origin_id;
+  ts_ = item->ts();
+}
+
+// ---------------------------------------------------------------------------
 // RemoteChannel (client proxy)
 // ---------------------------------------------------------------------------
 
@@ -134,6 +158,7 @@ RemoteChannel::RemoteChannel(Runtime& rt, RemoteChannelConfig config)
         put_shard_);
   }
   if (config_.consumer_key >= 0) {
+    share_ = config_.share ? config_.share : std::make_shared<ReplicaShare>();
     get_shard_ = rt.recorder().new_shard();
     get_link_ = std::make_unique<Transport>(
         ctx_, node_, config_.transport,
@@ -273,8 +298,6 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
     throw std::logic_error("RemoteChannel::get_latest: no consumer_key configured");
   }
   const Nanos t0 = ctx_.clock->now();
-  const FrameBuf frame =
-      encode(GetMsg{.consumer_summary = consumer_summary, .guarantee = guarantee});
   EnvelopeBody body;
 
   // Reused across retries and calls: decode() overwrites every field and
@@ -282,6 +305,13 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
   // allocation-free apart from the materialized item itself.
   static thread_local GetReplyMsg reply;
   for (;;) {
+    // Offer the newest replica this process holds from the server on the
+    // other end of the link. No live link means epoch 0 and no offer.
+    const std::uint64_t epoch = get_link_->server_epoch();
+    const ReplicaShare::Pin pin = share_->pin(epoch, last_get_ts_);
+    const FrameBuf frame = encode(GetMsg{.consumer_summary = consumer_summary,
+                                         .guarantee = guarantee,
+                                         .have_origin = pin.origin_id});
     std::shared_ptr<Item> item;
     bool decoded = false;
     // Payload-bearing replies decode inside the sink so the wire bytes
@@ -291,7 +321,10 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
                                  std::span<const std::byte> env) -> std::span<std::byte> {
       if (!decode(env, reply, nullptr)) return {};
       decoded = true;
-      if (!reply.has_item || reply.item.payload_bytes != header.payload_len) return {};
+      if (!reply.has_item || reply.reuse ||
+          reply.item.payload_bytes != header.payload_len) {
+        return {};
+      }
       item = materialize(ctx_, reply.item, node_, config_.cluster_node, get_shard_);
       return item->mutable_data();
     };
@@ -303,13 +336,19 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
     if (!decoded) {
       // No payload tail announced, so the sink never ran: decode the
       // envelope here. An item envelope claiming payload bytes the frame
-      // did not carry is a protocol violation.
+      // did not carry is a protocol violation, and so is a reuse reply
+      // naming anything but the replica pinned for this request on this
+      // server instance.
       if (!decode(body.span(), reply, nullptr) ||
-          (reply.has_item && reply.item.payload_bytes != 0)) {
+          (reply.has_item && !reply.reuse && reply.item.payload_bytes != 0) ||
+          (reply.reuse && (!pin.item || get_link_->server_epoch() != epoch ||
+                           reply.item.origin_id != pin.origin_id ||
+                           reply.item.ts != pin.item->ts() ||
+                           reply.item.payload_bytes != pin.item->bytes()))) {
         get_link_->disconnect();
         continue;
       }
-      if (reply.has_item) {
+      if (reply.has_item && !reply.reuse) {
         item = materialize(ctx_, reply.item, node_, config_.cluster_node, get_shard_);
       }
     }
@@ -318,7 +357,10 @@ RemoteEndpoint::GetResult RemoteChannel::get_latest(Nanos consumer_summary,
       if (reply.closed) break;  // remote channel closed and drained
       continue;
     }
-    return GetResult{.item = std::move(item),
+    std::shared_ptr<const Item> out = reply.reuse ? pin.item : std::move(item);
+    if (!reply.reuse) share_->publish(out, get_link_->server_epoch(), reply.item.origin_id);
+    last_get_ts_ = out->ts();
+    return GetResult{.item = std::move(out),
                      .blocked = ctx_.clock->now() - t0,
                      .skipped = reply.skipped};
   }
@@ -518,6 +560,7 @@ void ChannelServer::serve_connection(TcpStream stream, ConnState& state,
     ack.message = "consumer_key out of range";
   } else {
     ack.ok = true;
+    ack.server_epoch = epoch_;
     // Advertise the channel's current slack so a pipelined producer can
     // open its window immediately instead of trickling until the first
     // coalesced ack refreshes the credit view.
@@ -770,6 +813,9 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         }
         auto res = channel.get_latest(idx, get_msg.consumer_summary, get_msg.guarantee, st);
         get_reply.has_item = res.item != nullptr;
+        // The consumer's process already holds this item: skip the payload.
+        get_reply.reuse = res.item != nullptr && get_msg.have_origin != 0 &&
+                          res.item->id() == get_msg.have_origin;
         get_reply.closed = channel.closed();
         get_reply.skipped = res.skipped;
         get_reply.summary = channel.summary();
@@ -783,7 +829,7 @@ void ChannelServer::serve_attached(TcpStream& stream, const Served& served,
         // un-recycled) for the duration of the scatter-gather send even if
         // the channel overwrites the slot concurrently.
         const std::span<const std::byte> payload =
-            res.item ? res.item->data() : std::span<const std::byte>{};
+            res.item && !get_reply.reuse ? res.item->data() : std::span<const std::byte>{};
         if (!send_frame(encode(get_reply), payload, MsgType::kGetReply)) return;
         break;
       }

@@ -21,6 +21,11 @@
 /// its Hello. Reconnecting with the same key resumes the same consumer
 /// cursor and feedback slot.
 ///
+/// Consumer proxies of one remote channel in one process share the
+/// replicas they fetch through a ReplicaShare: each item crosses the wire
+/// and is materialized once per process, however many local tasks read
+/// it. Cursors, skips and feedback stay per consumer on the server.
+///
 /// Failure semantics: see RemoteEndpoint (runtime/remote.hpp). The proxy
 /// holds the last summary-STP received over the wire in an atomic, so a
 /// producer paced by ARU keeps its period through an outage instead of
@@ -48,6 +53,41 @@ namespace stampede::net {
 // Client proxy
 // ---------------------------------------------------------------------------
 
+/// The newest replica that any of a set of sibling consumer proxies
+/// fetched from one served channel. Before each get a proxy pins the
+/// slot's replica and names its origin id in the request; when the
+/// server's pick for that consumer is the same item, the reply carries no
+/// payload and the proxy returns the pinned replica. The slot keeps only a
+/// weak reference, so no item lives longer than its consumers hold it.
+/// The epoch (the server's HelloAck `server_epoch`) names the id space the
+/// origin id belongs to: a restarted server reuses item ids.
+class ReplicaShare {
+ public:
+  struct Pin {
+    std::shared_ptr<const Item> item;  ///< null = nothing to offer
+    std::uint64_t origin_id = 0;       ///< the item's id on the server (0 = none)
+  };
+
+  /// The slot's replica if it is still alive, was fetched under `epoch`
+  /// (never for epoch 0, i.e. no live link) and is newer than `after`.
+  /// A consumer passes the ts of the last item it returned: its cursor
+  /// never returns that item or an older one, so pinning it would only
+  /// keep it alive through the get.
+  ARU_HOT_PATH Pin pin(std::uint64_t epoch, Timestamp after) const EXCLUDES(mu_);
+
+  /// Offers a freshly materialized replica. It replaces the slot's entry
+  /// unless that entry is alive, from the same epoch and newer.
+  ARU_HOT_PATH void publish(const std::shared_ptr<const Item>& item, std::uint64_t epoch,
+                            std::uint64_t origin_id) EXCLUDES(mu_);
+
+ private:
+  mutable util::Mutex mu_{util::LockRank::kNetShare, "net.replica_share"};
+  std::weak_ptr<const Item> item_ GUARDED_BY(mu_);
+  std::uint64_t epoch_ GUARDED_BY(mu_) = 0;
+  std::uint64_t origin_id_ GUARDED_BY(mu_) = 0;
+  Timestamp ts_ GUARDED_BY(mu_) = kNoTimestamp;
+};
+
 struct RemoteChannelConfig {
   /// Channel name as served by the remote ChannelServer.
   std::string name;
@@ -60,6 +100,10 @@ struct RemoteChannelConfig {
   std::int32_t consumer_key = -1;
   /// Local virtual cluster node that received item copies are charged to.
   int cluster_node = 0;
+  /// Replica slot shared with the other consumer proxies of this channel
+  /// in this process. Null gives the proxy a private slot, which never
+  /// hits: a consumer's cursor never returns an item it has already seen.
+  std::shared_ptr<ReplicaShare> share;
 };
 
 class RemoteChannel final : public RemoteEndpoint {
@@ -101,6 +145,9 @@ class RemoteChannel final : public RemoteEndpoint {
 
   bool connected() const;
 
+  /// This proxy's replica slot (null for a proxy that never gets).
+  const ReplicaShare* share() const { return share_.get(); }
+
  private:
   void hold_summary(Nanos summary);
 
@@ -116,6 +163,8 @@ class RemoteChannel final : public RemoteEndpoint {
   std::unique_ptr<Transport> get_link_;
   stats::Shard* put_shard_ = nullptr;  ///< written only by the putting thread
   stats::Shard* get_shard_ = nullptr;  ///< written only by the getting thread
+  std::shared_ptr<ReplicaShare> share_;  ///< set iff get_link_ is
+  Timestamp last_get_ts_ = kNoTimestamp;  ///< written only by the getting thread
 
   std::atomic<std::int64_t> summary_ns_{aru::kUnknownStp.count()};
   std::atomic<std::int64_t> drops_{0};
@@ -184,6 +233,9 @@ class ChannelServer {
 
   /// Connections accepted so far (diagnostics/tests).
   std::int64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
+
+  /// This instance's item-id space, advertised in every HelloAck.
+  std::uint64_t epoch() const { return epoch_; }
 
  private:
   /// Per-producer-slot duplicate-suppression state (wire v3). A producer
@@ -256,6 +308,7 @@ class ChannelServer {
   Runtime& rt_;
   RunContext& ctx_;
   const ServerConfig config_;
+  const std::uint64_t epoch_ = random_wire_id();
   std::vector<Served> served_;
 
   /// Guards the lifecycle flags + connection-thread registry across

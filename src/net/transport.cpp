@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <random>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -50,13 +49,6 @@ constexpr std::array<std::int64_t, 8> kBatchBounds = {1, 2, 4, 8, 16, 32, 64, 12
 /// slow producer without paying a poll() syscall on every put.
 constexpr std::size_t kDrainEvery = 16;
 
-std::uint64_t random_session_id() {
-  std::random_device rd;
-  std::uint64_t id = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  // A zero session would read as "no session" on the wire; nudge it.
-  return id == 0 ? 1 : id;
-}
-
 }  // namespace
 
 Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, HelloMsg hello,
@@ -65,7 +57,7 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
       node_(node),
       config_(std::move(config)),
       hello_(std::move(hello)),
-      session_(random_session_id()),
+      session_(random_wire_id()),
       shard_(shard) {
   const bool windowed = config_.put_window > 0 && hello_.producer_key >= 0;
   if (windowed) window_.resize(config_.put_window);
@@ -146,6 +138,7 @@ void Transport::disconnect() {
 void Transport::disconnect_locked() {
   stream_.close();
   connected_.store(false, std::memory_order_relaxed);
+  server_epoch_.store(0, std::memory_order_relaxed);
 }
 
 bool Transport::ensure_connected_locked(EventBatch& events) {
@@ -201,6 +194,7 @@ bool Transport::ensure_connected_locked(EventBatch& events) {
     return fail();
   }
   credits_ = ack.credits;
+  server_epoch_.store(ack.server_epoch, std::memory_order_relaxed);
 
   if (had_session_) {
     reconnects_.fetch_add(1, std::memory_order_relaxed);

@@ -193,6 +193,12 @@ class Transport {
   /// Successful handshakes after the first (i.e. recoveries).
   std::int64_t reconnects() const { return reconnects_.load(std::memory_order_relaxed); }
 
+  /// `server_epoch` from the live link's HelloAck: the item-id space the
+  /// server's replies speak in. 0 while disconnected.
+  std::uint64_t server_epoch() const {
+    return server_epoch_.load(std::memory_order_relaxed);
+  }
+
   const TransportConfig& config() const { return config_; }
 
  private:
@@ -327,6 +333,7 @@ class Transport {
 
   std::atomic<bool> connected_{false};
   std::atomic<std::int64_t> reconnects_{0};
+  std::atomic<std::uint64_t> server_epoch_{0};
 
   /// Live telemetry series (telemetry/registry.hpp), registered once in
   /// the constructor when the run carries a registry. Raw pointers into

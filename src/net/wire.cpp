@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <cstring>
+#include <random>
 #include <stdexcept>
 
 namespace stampede::net {
@@ -184,6 +185,13 @@ class Reader {
     return "ok";
   }
 
+  /// Latches a semantic decode error (always returns false).
+  bool set_err(const char* what) {
+    failed_ = true;
+    if (err_ == nullptr) err_ = what;
+    return false;
+  }
+
  private:
   bool need(std::size_t n) {
     if (failed_ || buf_.size() - pos_ < n) {
@@ -191,12 +199,6 @@ class Reader {
       return false;
     }
     return true;
-  }
-
-  bool set_err(const char* what) {
-    failed_ = true;
-    if (err_ == nullptr) err_ = what;
-    return false;
   }
 
   std::span<const std::byte> buf_;
@@ -252,6 +254,12 @@ const char* to_string(MsgType type) {
   return "unknown";
 }
 
+std::uint64_t random_wire_id() {
+  std::random_device rd;
+  const std::uint64_t id = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
+  return id == 0 ? 1 : id;
+}
+
 FrameBuf encode(const HelloMsg& m) {
   return make_frame(MsgType::kHello, 0, [&](Writer& w) {
     w.str(m.channel);
@@ -267,6 +275,7 @@ FrameBuf encode(const HelloAckMsg& m) {
     w.u8(m.ok ? 1 : 0);
     w.str(m.message);
     w.u32(m.credits);
+    w.u64(m.server_epoch);
   });
 }
 
@@ -299,14 +308,18 @@ FrameBuf encode(const GetMsg& m) {
   return make_frame(MsgType::kGet, 0, [&](Writer& w) {
     w.i64(m.consumer_summary.count());
     w.i64(m.guarantee);
+    w.u64(m.have_origin);
   });
 }
 
 FrameBuf encode(const GetReplyMsg& m) {
-  const std::uint32_t payload_len = m.has_item ? m.item.payload_bytes : 0;
+  // A reuse reply names an item the client already holds: its envelope
+  // still records the item's size, but no payload tail follows.
+  const std::uint32_t payload_len = m.has_item && !m.reuse ? m.item.payload_bytes : 0;
   return make_frame(MsgType::kGetReply, payload_len, [&](Writer& w) {
     w.u8(m.has_item ? 1 : 0);
     w.u8(m.closed ? 1 : 0);
+    w.u8(m.reuse ? 1 : 0);
     w.item(m.item);
     w.u32(static_cast<std::uint32_t>(m.skipped));
     w.i64(m.summary.count());
@@ -371,7 +384,9 @@ bool decode(std::span<const std::byte> body, HelloMsg& out, std::string* err) {
 
 bool decode(std::span<const std::byte> body, HelloAckMsg& out, std::string* err) {
   Reader r(body);
-  if (r.boolean(out.ok) && r.str(out.message)) r.u32(out.credits);
+  if (r.boolean(out.ok) && r.str(out.message) && r.u32(out.credits)) {
+    r.u64(out.server_epoch);
+  }
   return finish(r, err);
 }
 
@@ -395,7 +410,7 @@ bool decode(std::span<const std::byte> body, PutAckMsg& out, std::string* err) {
 bool decode(std::span<const std::byte> body, GetMsg& out, std::string* err) {
   Reader r(body);
   std::int64_t summary_ns = 0;
-  if (r.i64(summary_ns) && r.i64(out.guarantee)) {
+  if (r.i64(summary_ns) && r.i64(out.guarantee) && r.u64(out.have_origin)) {
     out.consumer_summary = Nanos{summary_ns};
   }
   return finish(r, err);
@@ -405,8 +420,9 @@ bool decode(std::span<const std::byte> body, GetReplyMsg& out, std::string* err)
   Reader r(body);
   std::uint32_t skipped = 0;
   std::int64_t summary_ns = 0;
-  if (r.boolean(out.has_item) && r.boolean(out.closed) && r.item(out.item) &&
-      r.u32(skipped) && r.i64(summary_ns)) {
+  if (r.boolean(out.has_item) && r.boolean(out.closed) && r.boolean(out.reuse) &&
+      (!out.reuse || out.has_item || r.set_err("reuse reply without an item")) &&
+      r.item(out.item) && r.u32(skipped) && r.i64(summary_ns)) {
     out.skipped = static_cast<std::int32_t>(skipped);
     out.summary = Nanos{summary_ns};
     r.stp_vector(out.stp);

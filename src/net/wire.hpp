@@ -52,6 +52,20 @@
 /// simply keeps one put in flight and reads one ack per put; the frame
 /// layouts are shared.
 ///
+/// Version 4 adds replica sharing between sibling consumer proxies (one
+/// process, several consumer slots on the same served channel). `kGet`
+/// carries `have_origin`: the origin id of the newest replica the client
+/// process already holds for the channel (0 = none). When the item the
+/// server's `get_latest` picks for this consumer has exactly that id, the
+/// server answers `reuse`: the reply keeps the full item envelope but the
+/// frame announces `payload_len = 0` and sends no payload tail, and the
+/// client hands back the replica it pinned. The consumer's cursor, skip
+/// count, summary-STP fold and DGC guarantee are all applied server-side
+/// exactly as for a payload-bearing reply. Item ids restart with every
+/// server process, so `kHelloAck` carries `server_epoch`, a random id per
+/// ChannelServer instance; a client only hints an origin fetched under
+/// the epoch of the link it is about to send on.
+///
 /// Decoding is defensive: every length is bounds-checked against both the
 /// buffer and a hard cap (kMaxStpSlots, kMaxAttrs, kMaxPayloadBytes,
 /// kMaxNameBytes, kMaxEnvelopeBytes), and a truncated or corrupt buffer
@@ -74,7 +88,7 @@
 namespace stampede::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x5350444E;  // "SPDN"
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Hard caps a decoder enforces before trusting any on-the-wire length.
@@ -105,6 +119,10 @@ constexpr bool valid_type(std::uint8_t t) {
 }
 
 const char* to_string(MsgType type);
+
+/// A random nonzero 64-bit id (transport sessions, server epochs); 0 reads
+/// as "none" on the wire.
+std::uint64_t random_wire_id();
 
 /// Well-known item attribute keys. Attributes are free-form (key, value)
 /// tags preserved end-to-end; unknown keys must be carried through.
@@ -139,6 +157,7 @@ struct HelloAckMsg {
   bool ok = false;
   std::string message;
   std::uint32_t credits = 0;  ///< receiver buffer slack at attach time
+  std::uint64_t server_epoch = 0;  ///< random per-ChannelServer id (item id space)
 
   bool operator==(const HelloAckMsg&) const = default;
 };
@@ -165,6 +184,7 @@ struct PutAckMsg {
 struct GetMsg {
   Nanos consumer_summary{0};            ///< piggy-backed consumer summary-STP
   Timestamp guarantee = kNoTimestamp;   ///< DGC extra guarantee (kNoTimestamp = none)
+  std::uint64_t have_origin = 0;        ///< origin id of the client's newest replica (0 = none)
 
   bool operator==(const GetMsg&) const = default;
 };
@@ -172,6 +192,9 @@ struct GetMsg {
 struct GetReplyMsg {
   bool has_item = false;
   bool closed = false;  ///< channel closed and drained: consumer should stop
+  /// The item is the one the GetMsg named in have_origin: no payload tail
+  /// follows, the client reuses its replica. Only valid with has_item.
+  bool reuse = false;
   WireItem item;        ///< valid only when has_item
   std::int32_t skipped = 0;
   Nanos summary{0};          ///< channel summary-STP

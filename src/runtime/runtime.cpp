@@ -6,10 +6,18 @@
 
 namespace stampede {
 
+Runtime::Runtime() : tracker_(config_.topology.nodes()), pool_(config_.pool, &tracker_) {
+  init();
+}
+
 Runtime::Runtime(RuntimeConfig config)
     : config_(std::move(config)),
       tracker_(config_.topology.nodes()),
       pool_(config_.pool, &tracker_) {
+  init();
+}
+
+void Runtime::init() {
   if (config_.clock == nullptr) config_.clock = &RealClock::instance();
   run_.clock = config_.clock;
   run_.tracker = &tracker_;

@@ -64,7 +64,11 @@ struct RuntimeConfig {
 
 class Runtime {
  public:
-  explicit Runtime(RuntimeConfig config = {});
+  /// Default configuration, built in place: no `RuntimeConfig{}`
+  /// temporary is moved from (gcc 12 at -O3 reports the moved-from
+  /// temporary's strings as maybe-uninitialized, a false positive).
+  Runtime();
+  explicit Runtime(RuntimeConfig config);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -164,6 +168,9 @@ class Runtime {
   std::unique_ptr<Filter> filter_for(const std::string& override_spec) const;
   void check_mutable(const char* op) const;
   void stop_locked() REQUIRES(lifecycle_mu_);
+  /// Constructor body shared by both constructors: wires run_ from
+  /// config_ and registers the built-in metrics.
+  void init();
   /// Registers the runtime-owned polled series (pool, memory) and the
   /// /status sections (channels, pool, memory). Called once from the
   /// constructor.

@@ -60,6 +60,9 @@ enum class LockRank : int {
                       ///< /status callbacks read worker state under the
                       ///< registry lock. Probe I/O and fork/exec happen
                       ///< outside it.
+  kNetShare = 27,     ///< net::ReplicaShare slot of sibling consumer
+                      ///< proxies. Held only to copy a weak_ptr and a
+                      ///< few ids; nothing is acquired under it.
   kBuffer = 30,       ///< Channel/Queue data plane. Never nested.
   kPool = 35,         ///< PayloadPool free lists. Above kBuffer: an Item's
                       ///< destructor (which recycles its payload) may run

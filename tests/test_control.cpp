@@ -11,6 +11,8 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -286,6 +288,21 @@ TEST_F(FragmentTest, BackHostsDetectionWithSixProxies) {
   // detect1 + detect2 each reach back to mid for masks, hists, frames.
   EXPECT_EQ(frag.proxies.size(), 6u);
   EXPECT_EQ(frag.server, nullptr) << "loc1/loc2 have no remote peers";
+  // The two detectors' proxies of each channel share one replica slot:
+  // three slots, one per channel, two proxies each.
+  std::map<const net::ReplicaShare*, std::vector<std::string>> slots;
+  for (const auto& p : frag.proxies) {
+    ASSERT_NE(p->share(), nullptr) << p->name();
+    slots[p->share()].push_back(p->name());
+  }
+  ASSERT_EQ(slots.size(), 3u);
+  std::set<std::string> channels;
+  for (const auto& [slot, names] : slots) {
+    ASSERT_EQ(names.size(), 2u);
+    EXPECT_EQ(names[0], names[1]) << "a slot must not span channels";
+    channels.insert(names[0]);
+  }
+  EXPECT_EQ(channels, (std::set<std::string>{"masks", "hists", "frames"}));
 }
 
 TEST_F(FragmentTest, UnknownOrEmptyNodeIsRejected) {

@@ -67,7 +67,7 @@ WireItem random_item(Xoshiro256& rng, std::size_t max_payload = 1 << 20) {
 /// The payload tail a frame's header must announce for a given message.
 std::uint32_t payload_len_of(const PutMsg& m) { return m.item.payload_bytes; }
 std::uint32_t payload_len_of(const GetReplyMsg& m) {
-  return m.has_item ? m.item.payload_bytes : 0;
+  return m.has_item && !m.reuse ? m.item.payload_bytes : 0;
 }
 template <typename Msg>
 std::uint32_t payload_len_of(const Msg&) {
@@ -133,7 +133,8 @@ TEST(Wire, HelloAckRoundTripRandomized) {
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(HelloAckMsg{.ok = rng.below(2) == 1,
                                  .message = random_name(rng, kMaxNameBytes),
-                                 .credits = static_cast<std::uint32_t>(rng.next())},
+                                 .credits = static_cast<std::uint32_t>(rng.next()),
+                                 .server_epoch = rng.next()},
                      MsgType::kHelloAck);
   }
 }
@@ -165,7 +166,8 @@ TEST(Wire, GetRoundTripRandomized) {
   Xoshiro256 rng(0xF00D);
   for (int i = 0; i < 200; ++i) {
     expect_roundtrip(GetMsg{.consumer_summary = Nanos{static_cast<std::int64_t>(rng.next())},
-                            .guarantee = static_cast<Timestamp>(rng.next() >> 4)},
+                            .guarantee = static_cast<Timestamp>(rng.next() >> 4),
+                            .have_origin = rng.below(4) == 0 ? 0 : rng.next()},
                      MsgType::kGet);
   }
 }
@@ -178,9 +180,46 @@ TEST(Wire, GetReplyRoundTripRandomized) {
                   .skipped = static_cast<std::int32_t>(rng.next() >> 40),
                   .summary = Nanos{static_cast<std::int64_t>(rng.next() >> 8)},
                   .stp = random_stp(rng, rng.below(kMaxStpSlots + 1))};
-    if (m.has_item) m.item = random_item(rng);
+    if (m.has_item) {
+      m.reuse = rng.below(2) == 1;
+      m.item = random_item(rng);
+    }
     expect_roundtrip(m, MsgType::kGetReply);
   }
+}
+
+TEST(Wire, ReuseReplyCarriesNoPayloadTail) {
+  // A reuse reply names an item the client already holds: the envelope
+  // keeps the item's size, the frame announces no payload tail.
+  GetReplyMsg reply{.has_item = true, .reuse = true, .summary = millis(3)};
+  reply.item.ts = 41;
+  reply.item.origin_id = 0x1234;
+  reply.item.payload_bytes = 1 << 20;
+  const FrameBuf frame = encode(reply);
+  FrameHeader h;
+  ASSERT_TRUE(decode_header(frame.span().first(kHeaderBytes), h, nullptr));
+  EXPECT_EQ(h.payload_len, 0u);
+  EXPECT_EQ(frame.len, kHeaderBytes + h.body_len);
+  GetReplyMsg out;
+  std::string err;
+  ASSERT_TRUE(decode(frame.span().subspan(kHeaderBytes), out, &err)) << err;
+  EXPECT_TRUE(out.reuse);
+  EXPECT_EQ(out.item.origin_id, 0x1234u);
+  EXPECT_EQ(out.item.payload_bytes, 1u << 20);
+
+  // The same reply without the flag carries the payload tail as before.
+  reply.reuse = false;
+  ASSERT_TRUE(decode_header(encode(reply).span().first(kHeaderBytes), h, nullptr));
+  EXPECT_EQ(h.payload_len, 1u << 20);
+}
+
+TEST(Wire, ReuseWithoutAnItemIsRejected) {
+  // Reuse names a held item, so a reply with no item cannot carry it.
+  const FrameBuf frame = encode(GetReplyMsg{.has_item = false, .reuse = true});
+  GetReplyMsg out;
+  std::string err;
+  EXPECT_FALSE(decode(frame.span().subspan(kHeaderBytes), out, &err));
+  EXPECT_NE(err.find("reuse"), std::string::npos) << err;
 }
 
 TEST(Wire, HeartbeatAndCloseRoundTrip) {
@@ -252,7 +291,7 @@ TEST(Wire, OversizedStpVectorIsRejected) {
   // must reject it before trusting the length.
   PutAckMsg m{.stored = true, .stp = std::vector<Nanos>(kMaxStpSlots, millis(1))};
   FrameBuf frame = encode(m);
-  // Body layout (v3): stored u8, closed u8, summary i64, cum_seq u64,
+  // Body layout (v3, unchanged in v4): stored u8, closed u8, summary i64, cum_seq u64,
   // credits u32, count u16, slots...
   const std::size_t count_off = kHeaderBytes + 1 + 1 + 8 + 8 + 4;
   const auto bumped = static_cast<std::uint16_t>(kMaxStpSlots + 1);
@@ -301,8 +340,8 @@ TEST(Wire, TruncatedBodiesNeverCrash) {
                       .consumer_key = 1,
                       .session = 0x1122334455667788ULL,
                       .start_seq = 42}));
-  expect_truncation_safe<HelloAckMsg>(
-      encode(HelloAckMsg{.ok = false, .message = "no", .credits = 7}));
+  expect_truncation_safe<HelloAckMsg>(encode(
+      HelloAckMsg{.ok = true, .message = "no", .credits = 7, .server_epoch = 0xE90C}));
   expect_truncation_safe<PutMsg>(encode(
       PutMsg{.seq = 99, .item = random_item(rng, 64), .stp = random_stp(rng, 5)}));
   expect_truncation_safe<PutAckMsg>(encode(PutAckMsg{.stored = true,
@@ -310,13 +349,15 @@ TEST(Wire, TruncatedBodiesNeverCrash) {
                                                      .cum_seq = 99,
                                                      .credits = 5,
                                                      .stp = random_stp(rng, 3)}));
-  expect_truncation_safe<GetMsg>(
-      encode(GetMsg{.consumer_summary = millis(4), .guarantee = 17}));
+  expect_truncation_safe<GetMsg>(encode(
+      GetMsg{.consumer_summary = millis(4), .guarantee = 17, .have_origin = 0x0A1}));
   GetReplyMsg reply{.has_item = true,
                     .skipped = 2,
                     .summary = millis(9),
                     .stp = random_stp(rng, 4)};
   reply.item = random_item(rng, 64);
+  expect_truncation_safe<GetReplyMsg>(encode(reply));
+  reply.reuse = true;
   expect_truncation_safe<GetReplyMsg>(encode(reply));
   expect_truncation_safe<HeartbeatMsg>(encode(HeartbeatMsg{.t_ns = 42}));
 }
@@ -396,6 +437,20 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndLengths) {
     std::string e;
     EXPECT_FALSE(decode_header(bad.span().first(kHeaderBytes), out, &e));
     EXPECT_NE(e.find("payload"), std::string::npos) << e;
+  }
+}
+
+TEST(Wire, V3PeersAreRejectedByVersion) {
+  // v4 changed the Get, GetReply and HelloAck envelopes; a v3 peer's
+  // frames must fail at the header, before any envelope is parsed.
+  static_assert(kWireVersion == 4);
+  for (FrameBuf frame : {encode(GetMsg{.consumer_summary = millis(1)}),
+                         encode(HelloAckMsg{.ok = true}), encode(GetReplyMsg{})}) {
+    frame.data[8] = std::byte{3};
+    FrameHeader h;
+    std::string err;
+    EXPECT_FALSE(decode_header(frame.span().first(kHeaderBytes), h, &err));
+    EXPECT_EQ(err, "unsupported wire version");
   }
 }
 

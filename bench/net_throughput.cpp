@@ -12,6 +12,9 @@
 /// Run via bench/run_bench.sh to emit BENCH_net.json at the repo root.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <memory>
 #include <stop_token>
 
@@ -38,21 +41,36 @@ struct Loop {
   /// `put_window = 0` pins the classic synchronous one-ack-per-put RPC
   /// (the round-trip baselines); BM_NetPutPipelined opens the window.
   Loop(int producers, int consumers, bool pooled = true, std::size_t put_window = 0)
-      : rt(RuntimeConfig{.pool = {.max_retained_bytes =
-                                      pooled ? PoolConfig{}.max_retained_bytes : 0}}) {
+      : rt(runtime_config(pooled)) {
     channel = &rt.add_channel({.name = "bench"});
     server = std::make_unique<net::ChannelServer>(
         rt, std::vector<net::ServedChannel>{{.channel = channel,
                                              .remote_producers = producers,
                                              .remote_consumers = consumers}});
     server->start();
-    proxy = std::make_unique<net::RemoteChannel>(
-        rt, net::RemoteChannelConfig{
-                .name = "bench",
-                .transport = {.port = server->port(), .put_window = put_window},
-                .producer_key = producers > 0 ? 0 : -1,
-                .consumer_key = consumers > 0 ? 0 : -1,
-            });
+    net::RemoteChannelConfig config = proxy_config(consumers > 0 ? 0 : -1);
+    config.transport.put_window = put_window;
+    config.producer_key = producers > 0 ? 0 : -1;
+    proxy = std::make_unique<net::RemoteChannel>(rt, std::move(config));
+  }
+
+  // Configs are built by member assignment and moved into place: gcc 12
+  // flags the strings braced designated-initializer temporaries leave
+  // behind as maybe-uninitialized.
+  static RuntimeConfig runtime_config(bool pooled) {
+    RuntimeConfig config;
+    if (!pooled) config.pool.max_retained_bytes = 0;
+    return config;
+  }
+
+  /// A proxy of the served channel claiming consumer slot `consumer_key`
+  /// (-1: none) and no producer slot.
+  net::RemoteChannelConfig proxy_config(std::int32_t consumer_key) const {
+    net::RemoteChannelConfig config;
+    config.name = "bench";
+    config.transport.port = server->port();
+    config.consumer_key = consumer_key;
+    return config;
   }
 
   ~Loop() { server->stop(); }
@@ -103,6 +121,49 @@ void BM_NetPutPipelined(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_NetPutPipelined)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+/// Paced pipelined puts: one put every kPacedGap, the way an ARU-paced
+/// source feeds a remote channel, so each ack has arrived before the next
+/// put. The reported time is the put call alone (manual time; the gap is
+/// not counted). `pinned_items` is the mean number of earlier items still
+/// alive right after a put: slabs the sender keeps because it has not yet
+/// read their acks. A put collects arrived acks once 32 KiB of payload
+/// went out since the last collection, so at these sizes it stays near 0.
+void BM_NetPutPaced(benchmark::State& state) {
+  constexpr Nanos kPacedGap = millis(1);
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  Loop loop(/*producers=*/1, /*consumers=*/0, /*pooled=*/true, /*put_window=*/64);
+  Timestamp ts = 0;
+  // Warm up: first put pays the connect + Hello handshake.
+  (void)loop.proxy->put(loop.item(ts++, bytes), loop.stop.get_token());
+  loop.proxy->drain_puts(loop.stop.get_token());
+
+  // Earlier items, newest last; more than a full 64-slot window.
+  std::array<std::weak_ptr<const Item>, 128> earlier;
+  std::size_t next = 0;
+  std::int64_t pinned = 0;
+  Clock& clock = loop.rt.clock();
+  Nanos due = clock.now();
+  for (auto _ : state) {
+    auto item = loop.item(ts++, bytes);
+    const std::weak_ptr<const Item> watch = item;
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(loop.proxy->put(std::move(item), loop.stop.get_token()));
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+    pinned += std::count_if(earlier.begin(), earlier.end(),
+                            [](const auto& w) { return !w.expired(); });
+    earlier[next++ % earlier.size()] = watch;
+    due += kPacedGap;
+    clock.sleep_until(due);
+  }
+  loop.proxy->drain_puts(loop.stop.get_token());
+  state.counters["pinned_items"] =
+      benchmark::Counter(static_cast<double>(pinned), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_NetPutPaced)->Arg(1 << 16)->Arg(1 << 20)->Iterations(1000)->UseManualTime();
 
 /// Get round trip: a local put makes the channel ready, then the proxy
 /// pulls the item over the wire (server-side get + item payload + backward
@@ -180,16 +241,15 @@ void BM_NetGetFanout(benchmark::State& state) {
   // The Loop's own proxy (private slot) stays idle; two proxies sharing
   // one slot take consumer slots 0 and 1.
   auto share = std::make_shared<net::ReplicaShare>();
-  net::RemoteChannel first(
-      loop.rt, net::RemoteChannelConfig{.name = "bench",
-                                        .transport = {.port = loop.server->port()},
-                                        .consumer_key = 0,
-                                        .share = share});
-  net::RemoteChannel second(
-      loop.rt, net::RemoteChannelConfig{.name = "bench",
-                                        .transport = {.port = loop.server->port()},
-                                        .consumer_key = 1,
-                                        .share = share});
+  const auto sharing_consumer = [&](std::int32_t key) {
+    net::RemoteChannelConfig config = loop.proxy_config(key);
+    config.share = share;
+    return std::make_unique<net::RemoteChannel>(loop.rt, std::move(config));
+  };
+  const auto first_proxy = sharing_consumer(0);
+  const auto second_proxy = sharing_consumer(1);
+  net::RemoteChannel& first = *first_proxy;
+  net::RemoteChannel& second = *second_proxy;
   const auto get = [&](net::RemoteChannel& proxy) {
     return proxy.get_latest(aru::kUnknownStp, kNoTimestamp, loop.stop.get_token());
   };

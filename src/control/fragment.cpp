@@ -15,6 +15,18 @@ const std::string& node_of_task(const Manifest& m, const std::string& task) {
   return it->second;
 }
 
+/// A proxy config addressing `channel` on its hosting node. Built by
+/// member assignment: gcc 12 flags the string a braced nested
+/// TransportConfig leaves behind as maybe-uninitialized.
+net::RemoteChannelConfig proxy_config(const Manifest& m, const std::string& channel) {
+  const ManifestNode& host = m.channel_host(channel);
+  net::RemoteChannelConfig config;
+  config.name = channel;
+  config.transport.host = host.endpoint.host;
+  config.transport.port = host.endpoint.port;
+  return config;
+}
+
 }  // namespace
 
 ChannelSlots remote_slots(const Manifest& m, const PipelineSpec& spec,
@@ -101,12 +113,9 @@ Fragment build_fragment(Runtime& rt, const Manifest& m, const PipelineSpec& spec
         rt.connect(task, *it->second);
         continue;
       }
-      const ManifestNode& host = m.channel_host(out);
-      frag.proxies.push_back(std::make_unique<net::RemoteChannel>(
-          rt, net::RemoteChannelConfig{
-                  .name = out,
-                  .transport = {.host = host.endpoint.host, .port = host.endpoint.port},
-                  .producer_key = slot_of(t.name, out, /*producer=*/true)}));
+      net::RemoteChannelConfig config = proxy_config(m, out);
+      config.producer_key = slot_of(t.name, out, /*producer=*/true);
+      frag.proxies.push_back(std::make_unique<net::RemoteChannel>(rt, std::move(config)));
       rt.connect(task, *frag.proxies.back());
     }
     for (const std::string& in : t.inputs) {
@@ -114,15 +123,12 @@ Fragment build_fragment(Runtime& rt, const Manifest& m, const PipelineSpec& spec
         rt.connect(*it->second, task);
         continue;
       }
-      const ManifestNode& host = m.channel_host(in);
       std::shared_ptr<net::ReplicaShare>& share = shares[in];
       if (!share) share = std::make_shared<net::ReplicaShare>();
-      frag.proxies.push_back(std::make_unique<net::RemoteChannel>(
-          rt, net::RemoteChannelConfig{
-                  .name = in,
-                  .transport = {.host = host.endpoint.host, .port = host.endpoint.port},
-                  .consumer_key = slot_of(t.name, in, /*producer=*/false),
-                  .share = share}));
+      net::RemoteChannelConfig config = proxy_config(m, in);
+      config.consumer_key = slot_of(t.name, in, /*producer=*/false);
+      config.share = share;
+      frag.proxies.push_back(std::make_unique<net::RemoteChannel>(rt, std::move(config)));
       rt.connect(*frag.proxies.back(), task);
     }
   }

@@ -140,6 +140,11 @@ class RemoteChannel final : public RemoteEndpoint {
   /// Items dropped locally because the link was down.
   std::int64_t drops() const { return drops_.load(std::memory_order_relaxed); }
 
+  /// Unacked pipelined puts this proxy still holds (0 without a put link).
+  std::size_t puts_in_flight() const {
+    return put_link_ ? put_link_->puts_in_flight() : 0;
+  }
+
   /// Put-link recoveries (see Transport::reconnects).
   std::int64_t reconnects() const;
 

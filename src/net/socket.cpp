@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -391,6 +393,12 @@ bool TcpStream::readable(Nanos timeout) const {
     n = ::poll(&pfd, 1, poll_millis(timeout));
   } while (n < 0 && errno == EINTR);
   return n > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+}
+
+std::size_t TcpStream::unacked_bytes() const {
+  int n = 0;
+  if (!sock_.valid() || ::ioctl(sock_.fd(), SIOCOUTQ, &n) != 0 || n < 0) return 0;
+  return static_cast<std::size_t>(n);
 }
 
 std::optional<TcpListener> TcpListener::listen(std::uint16_t port, std::string* err) {

@@ -138,6 +138,13 @@ class TcpStream {
   ARU_ANALYZE_ESCAPE("zero-timeout poll() + MSG_PEEK recv on a nonblocking fd: a readiness probe, never a wait")
   bool peer_hup() const;
 
+  /// Bytes written on this stream that the peer's TCP has not yet
+  /// acknowledged (SIOCOUTQ); 0 on a closed stream. Once it reads 0,
+  /// everything sent sits in the peer's receive queue — a delivery probe
+  /// for scripted-peer tests that must know a frame has arrived before
+  /// the peer next looks.
+  std::size_t unacked_bytes() const;
+
   /// Waits up to `timeout` for the stream to become readable (data or
   /// EOF). False on timeout.
   ARU_MAY_BLOCK ARU_ANALYZE_ESCAPE("deadline-bounded readiness poll") bool readable(

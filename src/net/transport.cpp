@@ -31,7 +31,10 @@ std::vector<stats::Event>& tl_rpc_events() {
 
 /// Flush the staged batch once it holds this many bytes: large enough to
 /// amortize the sendmsg, small enough to stay well under the send buffer
-/// and keep the server's burst decoder busy rather than bursty.
+/// and keep the server's burst decoder busy rather than bursty. Also the
+/// payload a pipelined put link sends between two collections of arrived
+/// acks at most: one poll() per 32 KiB put costs little next to the copy,
+/// and an acked frame-scale put is released by the very next put.
 constexpr std::size_t kFlushBytes = std::size_t{32} * 1024;
 
 /// Payload tails larger than this skip the staging copy and ride the
@@ -44,9 +47,10 @@ constexpr std::array<std::int64_t, 8> kBatchBounds = {1, 2, 4, 8, 16, 32, 64, 12
 
 /// Opportunistic ack-drain cadence for a window under no pressure: a
 /// pipelined put polls the socket for arrived acks at most this many puts
-/// apart (more often once the window is half committed), bounding both
-/// summary-STP feedback staleness and the unread heartbeat backlog of a
-/// slow producer without paying a poll() syscall on every put.
+/// apart (sooner once the window is about to fill or kFlushBytes of
+/// payload went out since the last poll), bounding both summary-STP
+/// feedback staleness and the unread heartbeat backlog of a slow producer
+/// without paying a poll() syscall on every small put.
 constexpr std::size_t kDrainEvery = 16;
 
 }  // namespace
@@ -83,6 +87,10 @@ Transport::Transport(RunContext& ctx, NodeId node, TransportConfig config, Hello
     if (windowed) {
       met_window_ = &reg.gauge("aru_net_put_window",
                                "Unacknowledged pipelined puts in flight.", labels);
+      met_window_bytes_ = &reg.gauge(
+          "aru_net_put_window_bytes",
+          "Payload bytes of unacknowledged pipelined puts (slabs the sender pins).",
+          labels);
       const auto reason_counter = [&](const char* reason) {
         telemetry::Registry::Labels rl = labels;
         rl.push_back({"reason", reason});
@@ -232,13 +240,18 @@ void Transport::apply_put_ack_locked(const PutAckMsg& ack) {
   credits_ = ack.credits;
   if (aru::known(ack.summary)) last_ack_summary_ = ack.summary;
   if (ack.closed) remote_closed_ = true;
-  if (met_window_ != nullptr) {
-    met_window_->set(static_cast<std::int64_t>(in_flight_locked()));
-  }
+  publish_window_locked();
+}
+
+void Transport::publish_window_locked() {
+  if (met_window_ == nullptr) return;
+  met_window_->set(static_cast<std::int64_t>(in_flight_locked()));
+  met_window_bytes_->set(static_cast<std::int64_t>(in_flight_bytes_));
 }
 
 bool Transport::drain_acks_locked(EventBatch& events) {
   puts_since_drain_ = 0;
+  bytes_since_drain_ = 0;
   while (stream_.valid() && stream_.readable(Nanos{0})) {
     FrameHeader header{};
     EnvelopeBody body;
@@ -477,15 +490,21 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
       // caller drops the item and keeps pacing on the held summary.
       out.status = RpcStatus::kDisconnected;
     } else if ((in_flight_locked() + 1 >= effective_window_locked() ||
+                bytes_since_drain_ >= kFlushBytes ||
                 ++puts_since_drain_ >= kDrainEvery) &&
                !drain_acks_locked(events)) {
-      // Collect already-arrived acks when the window is about to block —
-      // polling the socket on every put costs a syscall the steady state
-      // doesn't need (coalesced acks arrive in clumps anyway). The
-      // kDrainEvery cadence bounds summary-STP feedback staleness and
-      // keeps a slow producer's receive buffer drained of heartbeats even
-      // though its window never fills. False = link died; the item was
-      // never queued.
+      // Collect already-arrived acks when the window is about to block,
+      // when kFlushBytes of payload went out since the last collection,
+      // or every kDrainEvery puts. The byte trigger releases an acked
+      // frame-scale put at the very next put, not when the byte cap
+      // forces a blocking read, and hands the caller the freshest
+      // summary-STP. It counts bytes sent, not bytes unacked: a
+      // saturating stream of small puts keeps more than 32 KiB unacked
+      // while its acks are still in flight, and polling on every put
+      // would buy nothing. The cadence bounds feedback staleness and
+      // keeps a slow producer's receive buffer drained of heartbeats
+      // even though its window never fills. False = link died; the item
+      // was never queued.
       out.status = RpcStatus::kDisconnected;
     } else {
       // Make room: window-full means we owe the server a flush (it cannot
@@ -511,9 +530,8 @@ Transport::PutOutcome Transport::put_pipelined(PutMsg& msg,
         slot.payload = payload;
         slot.keepalive = std::move(keepalive);
         in_flight_bytes_ += payload.size();
-        if (met_window_ != nullptr) {
-          met_window_->set(static_cast<std::int64_t>(in_flight_locked()));
-        }
+        bytes_since_drain_ += payload.size();
+        publish_window_locked();
 
         if (staged_frames_ == 0) first_staged_ns_ = ctx_.now_ns();
         bool flushed_inline = false;

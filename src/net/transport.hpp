@@ -36,10 +36,14 @@
 /// frames (cumulative seq + credits + summary-STP) release window slots
 /// and refresh the pacing feedback; the producer still paces against
 /// summary-STP, it just learns it from the latest coalesced ack instead
-/// of a per-item round trip. On reconnect the handshake advertises the
-/// transport's random session id and resume seq, then the unacked window
-/// tail is resent — the server suppresses duplicates by (session, seq),
-/// preserving the channel's at-most-once semantics.
+/// of a per-item round trip. A put collects the acks that have already
+/// arrived when the window is about to fill, once 32 KiB of payload went
+/// out since the last collection (so a frame-scale put is released by
+/// the next put after its ack lands), or every 16 puts. On reconnect the
+/// handshake advertises the transport's random session id and resume
+/// seq, then the unacked window tail is resent — the server suppresses
+/// duplicates by (session, seq), preserving the channel's at-most-once
+/// semantics.
 ///
 /// Trace events (kNetTx/kNetRx/kReconnect) are composed under `mu_` and
 /// appended to the stats shard only after it is released, under a
@@ -91,15 +95,18 @@ struct TransportConfig {
   /// advertises on coalesced acks). 0 selects the legacy synchronous
   /// one-RPC-per-put path. Only meaningful on producer links.
   std::size_t put_window = 64;
-  /// Companion byte bound on the same window: unacknowledged payload
-  /// bytes in flight. Small items fill all `put_window` slots; at
-  /// frame-scale payloads this caps the working set of retained pooled
-  /// slabs (sender, socket buffers, receiver materialize) to something
-  /// cache-sized — an uncapped 64-slot window of 1 MiB frames holds
-  /// 64 MiB of cold slabs and measures *slower* than the synchronous
-  /// ping-pong that reuses one hot slab. A single put larger than the
-  /// cap still goes out alone (the bound never starves the window below
-  /// one in-flight put).
+  /// Backstop against a slow acker: the most unacknowledged payload
+  /// bytes this link may pin. A put that would cross it flushes and
+  /// blocks reading acks until enough slots free. On a healthy link it
+  /// does not bind: once 32 KiB of payload went out since the last
+  /// collection, a put first collects the acks that have already
+  /// arrived, so an acked frame is released at the next put. It binds
+  /// when the receiver falls behind (slow server, full socket buffers),
+  /// and then caps the pooled slabs held by the sender, the socket
+  /// buffers and the receiver — an uncapped 64-slot window of 1 MiB
+  /// frames would pin 64 MiB. A single put larger than the cap still
+  /// goes out alone (the bound never starves the window below one
+  /// in-flight put).
   std::size_t put_window_bytes = 4u << 20;
   /// How long a staged (encoded but unflushed) put frame may age in the
   /// send buffer before the next put forces a flush. Small enough that a
@@ -254,6 +261,9 @@ class Transport {
   /// cum_seq, refreshes credits / summary / closed.
   void apply_put_ack_locked(const PutAckMsg& ack) REQUIRES(mu_);
 
+  /// Sets the window occupancy gauges (puts and payload bytes in flight).
+  void publish_window_locked() REQUIRES(mu_);
+
   /// Reads already-arrived frames without waiting (readable(0)-gated) and
   /// applies acks; heartbeats are consumed. False = link died.
   bool drain_acks_locked(EventBatch& events) REQUIRES(mu_);
@@ -316,8 +326,10 @@ class Transport {
   /// enforcement): grows on enqueue, shrinks as coalesced acks release
   /// slots.
   std::size_t in_flight_bytes_ GUARDED_BY(mu_) = 0;
-  /// Puts since the last opportunistic ack drain (kDrainEvery cadence).
+  /// Puts since the last opportunistic ack drain (kDrainEvery cadence)
+  /// and payload bytes queued since then (kFlushBytes trigger).
   std::size_t puts_since_drain_ GUARDED_BY(mu_) = 0;
+  std::size_t bytes_since_drain_ GUARDED_BY(mu_) = 0;
   std::uint32_t credits_ GUARDED_BY(mu_) = 0;
   bool remote_closed_ GUARDED_BY(mu_) = false;
   Nanos last_ack_summary_ GUARDED_BY(mu_) = aru::kUnknownStp;
@@ -345,8 +357,10 @@ class Transport {
   telemetry::Counter* met_reconnects_ = nullptr;  ///< aru_net_reconnects_total
   telemetry::Histogram* met_rpc_ = nullptr;       ///< aru_net_rpc_latency_ns
   /// Pipelined-put series (registered only when the window is enabled):
-  /// window occupancy, one flush counter per reason, and frames-per-flush.
+  /// window occupancy (puts and payload bytes), one flush counter per
+  /// reason, and frames-per-flush.
   telemetry::Gauge* met_window_ = nullptr;          ///< aru_net_put_window
+  telemetry::Gauge* met_window_bytes_ = nullptr;    ///< aru_net_put_window_bytes
   telemetry::Counter* met_flush_window_ = nullptr;  ///< aru_net_put_flush_total{reason=window}
   telemetry::Counter* met_flush_bytes_ = nullptr;   ///< …{reason=bytes}
   telemetry::Counter* met_flush_age_ = nullptr;     ///< …{reason=age}

@@ -12,10 +12,12 @@
 #include <array>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -622,6 +624,191 @@ TEST(PipelinedReconnect, ReplayedWindowTailIsNotDuplicated) {
   }
 
   server.stop();
+}
+
+// -- ack collection: a scripted acker controls when each ack lands ----------
+
+/// Waits (yielding) until `pred` holds or a generous deadline passes. The
+/// deadline only bounds a failing test; passing runs wait on the condition.
+template <typename Pred>
+bool eventually(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// A raw-wire producer peer: answers one Hello, then reads each put (frame
+/// and payload tail) and acks it at once with summary `summary_of(seq)` —
+/// except that puts before `first_ack` wait for the cumulative ack of
+/// that put. `delivered` is the highest seq whose ack sits in the
+/// client's receive queue (the acker's send queue has drained), so a test
+/// can put next knowing the ack is there to be collected — without a
+/// sleep margin.
+struct ScriptedAcker {
+  static constexpr std::uint32_t kCredits = 64;
+
+  std::optional<TcpListener> listener = TcpListener::listen("127.0.0.1", 0);
+  std::atomic<std::uint64_t> delivered{0};
+  std::atomic<bool> failed{false};
+  std::jthread thread;
+
+  explicit ScriptedAcker(std::uint64_t puts, std::uint64_t first_ack = 1) {
+    if (listener) {
+      thread = std::jthread([this, puts, first_ack] { failed = !serve(puts, first_ack); });
+    }
+  }
+
+  static Nanos summary_of(std::uint64_t seq) {
+    return millis(static_cast<std::int64_t>(seq));
+  }
+
+  bool await_delivered(std::uint64_t seq) const {
+    return eventually([&] { return delivered.load() >= seq || failed.load(); }) &&
+           !failed.load();
+  }
+
+ private:
+  bool serve(std::uint64_t puts, std::uint64_t first_ack) {
+    auto s = listener->accept(seconds(5));
+    if (!s) return false;
+    FrameHeader h;
+    std::vector<std::byte> body;
+    if (!raw_read_frame(*s, h, body) || h.type != MsgType::kHello ||
+        s->send_all(encode(HelloAckMsg{.ok = true, .credits = kCredits}).span(),
+                    seconds(2)) != IoStatus::kOk) {
+      return false;
+    }
+    std::vector<std::byte> payload;
+    PutMsg put;
+    for (std::uint64_t seq = 1; seq <= puts; ++seq) {
+      if (!raw_read_frame(*s, h, body) || h.type != MsgType::kPut ||
+          !decode(std::span<const std::byte>(body), put, nullptr) || put.seq != seq) {
+        return false;
+      }
+      payload.resize(h.payload_len);
+      if (!payload.empty() && s->recv_exact(payload, seconds(2)) != IoStatus::kOk) {
+        return false;
+      }
+      if (seq < first_ack) continue;
+      const PutAckMsg ack{.stored = true,
+                          .summary = summary_of(seq),
+                          .cum_seq = seq,
+                          .credits = kCredits};
+      // A client that closes with this ack unread resets the link, and
+      // its send queue never drains: that ends the script, not a failure.
+      if (s->send_all(encode(ack).span(), seconds(2)) != IoStatus::kOk ||
+          !eventually([&] { return s->unacked_bytes() == 0 || s->peer_hup(); })) {
+        return false;
+      }
+      if (s->unacked_bytes() != 0) return true;
+      delivered = seq;
+    }
+    std::array<std::byte, 1> probe;
+    s->recv_exact(probe, seconds(5));  // hold the link until the client closes
+    return true;
+  }
+};
+
+TEST(PipelinedReconnect, AckedFramePutIsReleasedByTheNextPut) {
+  // A frame-scale put stays in the window (its slab pinned) until the
+  // sender reads its ack. Once that ack has arrived, the very next put
+  // must collect it: the frame is freed and the put returns the summary
+  // the ack carried — not after the byte cap forces a blocking read.
+  ScriptedAcker acker(2);
+  ASSERT_TRUE(acker.listener.has_value());
+  constexpr std::size_t kFrame = std::size_t{256} << 10;
+  Runtime rt;
+  RemoteChannel proxy(rt, {.name = "frames",
+                           .transport = pipelined_transport(acker.listener->port(), 64),
+                           .producer_key = 0});
+  std::stop_source stop;
+
+  auto first = make_item(rt, 0, kFrame);
+  const std::weak_ptr<Item> watch = first;
+  ASSERT_TRUE(proxy.put(std::move(first), stop.get_token()).stored);
+  ASSERT_TRUE(acker.await_delivered(1));
+  EXPECT_FALSE(watch.expired()) << "an ack nobody has read yet keeps the frame";
+
+  const auto res = proxy.put(make_item(rt, 1, kFrame), stop.get_token());
+  EXPECT_TRUE(res.stored);
+  EXPECT_TRUE(watch.expired()) << "the next put must release the acked frame";
+  EXPECT_EQ(res.summary, ScriptedAcker::summary_of(1))
+      << "the next put must return the summary-STP its ack carried";
+  EXPECT_EQ(proxy.puts_in_flight(), 1u);
+  EXPECT_FALSE(acker.failed.load());
+}
+
+TEST(PipelinedReconnect, SmallPutsKeepTheDrainCadence) {
+  // 1 KiB puts never send 32 KiB between two 16-put collections, so they
+  // keep that cadence — even with more than 32 KiB unacked: acks already
+  // sitting in the receive queue stay unread (no poll per put) until the
+  // cadence comes round. Puts 1..33 are acked by one late cumulative ack,
+  // so 33 KiB are unacked when it lands; the cadence polled at puts 16
+  // and 32 and polls next at put 48.
+  constexpr std::uint64_t kLateAck = 33;
+  constexpr std::uint64_t kNextPoll = 48;
+  ScriptedAcker acker(kNextPoll, /*first_ack=*/kLateAck);
+  ASSERT_TRUE(acker.listener.has_value());
+  TransportConfig cfg = pipelined_transport(acker.listener->port(), 64);
+  cfg.flush_interval = Nanos{0};  // every put leaves at once
+  Runtime rt;
+  RemoteChannel proxy(rt, {.name = "frames", .transport = cfg, .producer_key = 0});
+  std::stop_source stop;
+  const auto put = [&](std::uint64_t seq) {
+    const auto res = proxy.put(make_item(rt, static_cast<Timestamp>(seq), 1024),
+                               stop.get_token());
+    EXPECT_TRUE(res.stored);
+    return res.summary;
+  };
+
+  for (std::uint64_t seq = 1; seq <= kLateAck; ++seq) put(seq);
+  ASSERT_TRUE(acker.await_delivered(kLateAck));
+  EXPECT_FALSE(aru::known(put(kLateAck + 1)))
+      << "33 KiB unacked must not make a small put poll";
+  EXPECT_EQ(proxy.puts_in_flight(), kLateAck + 1);
+
+  for (std::uint64_t seq = kLateAck + 2; seq < kNextPoll; ++seq) put(seq);
+  ASSERT_TRUE(acker.await_delivered(kNextPoll - 1));
+  EXPECT_EQ(put(kNextPoll), ScriptedAcker::summary_of(kNextPoll - 1))
+      << "put 48 collects every arrived ack";
+  EXPECT_EQ(proxy.puts_in_flight(), 1u);
+  EXPECT_FALSE(acker.failed.load());
+}
+
+TEST(PipelinedReconnect, WindowBytesGaugeShowsOnePacedFrame) {
+  // aru_net_put_window_bytes is the payload a put link pins. A source
+  // paced slower than its acks (each put waits for the previous ack to
+  // land) must read at most one frame in flight on a scrape.
+  constexpr std::uint64_t kPuts = 6;
+  ScriptedAcker acker(kPuts);
+  ASSERT_TRUE(acker.listener.has_value());
+  constexpr std::size_t kFrame = std::size_t{256} << 10;
+  Runtime rt;
+  RemoteChannel proxy(rt, {.name = "frames",
+                           .transport = pipelined_transport(acker.listener->port(), 64),
+                           .producer_key = 0});
+  std::stop_source stop;
+  const std::string series = "aru_net_put_window_bytes{link=\"frames/put\"} ";
+  const auto scrape = [&]() -> std::int64_t {
+    const std::string text = rt.metrics().render_prometheus();
+    const std::size_t at = text.find(series);
+    return at == std::string::npos ? -1 : std::stoll(text.substr(at + series.size()));
+  };
+
+  for (std::uint64_t seq = 1; seq <= kPuts; ++seq) {
+    ASSERT_TRUE(proxy.put(make_item(rt, static_cast<Timestamp>(seq), kFrame),
+                          stop.get_token())
+                    .stored);
+    const std::int64_t pinned = scrape();
+    EXPECT_GE(pinned, 0) << "the gauge must be exported";
+    EXPECT_LE(pinned, static_cast<std::int64_t>(kFrame)) << "after put " << seq;
+    ASSERT_TRUE(acker.await_delivered(seq));
+  }
+  EXPECT_EQ(scrape(), static_cast<std::int64_t>(kFrame));
+  EXPECT_FALSE(acker.failed.load());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /// \file micro_channel.cpp
 /// \brief Micro-benchmarks of the runtime primitives: channel put/get at
 ///        varying occupancy and consumer counts, in-order and windowed
-///        access, GC pressure, queue ops, and item allocation at the
-///        paper's payload sizes.
+///        access, GC pressure, queue ops, item allocation at the
+///        paper's payload sizes, and trace recording.
 ///
 /// Run via bench/run_bench.sh to emit BENCH_channel.json at the repo
 /// root — every PR appends to that perf trajectory.
@@ -13,6 +13,7 @@
 #include "runtime/channel.hpp"
 #include "runtime/pool.hpp"
 #include "runtime/queue.hpp"
+#include "stats/recorder.hpp"
 #include "vision/records.hpp"
 
 namespace stampede {
@@ -255,6 +256,44 @@ BENCHMARK(BM_ItemAllocFree)
     ->Arg(static_cast<std::int64_t>(vision::kMaskBytes))
     ->Arg(static_cast<std::int64_t>(vision::kFrameBytes))
     ->Arg(static_cast<std::int64_t>(vision::kHistogramBytes));
+
+/// Trace recording: one shard appending a channel-like event stream
+/// (five event types over six nodes, advancing instants, timestamps and
+/// item ids; `a` alternates a frame size and a duration). Each iteration
+/// records a whole trace into a fresh recorder, so the storage growth is
+/// timed. Counters: seconds per event and storage bytes held per event.
+/// Args: (events per trace, mean gap between events in ns); 2Mi events
+/// is a run-long trace (~1 min of fullres-loopback).
+void BM_ShardRecord(benchmark::State& state) {
+  const std::int64_t events = state.range(0);
+  const std::int64_t gap = state.range(1);
+  std::int64_t held = 0;
+  for (auto _ : state) {
+    stats::Recorder recorder;
+    stats::Shard* shard = recorder.new_shard();
+    std::int64_t t = 1'000'000'000;
+    for (std::int64_t i = 0; i < events; ++i) {
+      t += gap / 2 + (i * 7919) % gap;
+      shard->record(stats::Event{.type = static_cast<stats::EventType>(i % 5),
+                                 .node = static_cast<stats::NodeRef>(i % 6),
+                                 .ts = i / 6,
+                                 .item = static_cast<stats::ItemId>(i / 3 + 1),
+                                 .t = t,
+                                 .a = (i & 1) != 0 ? 737'280 : gap * (i % 13),
+                                 .b = i % 3});
+    }
+    benchmark::DoNotOptimize(shard);
+    benchmark::ClobberMemory();
+    held = recorder.block_bytes();
+  }
+  state.SetItemsProcessed(state.iterations() * events);
+  state.counters["sec_per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["bytes_per_event"] =
+      static_cast<double>(held) / static_cast<double>(events);
+}
+BENCHMARK(BM_ShardRecord)->Args({1 << 16, 2'000})->Args({1 << 21, 2'000});
 
 }  // namespace
 }  // namespace stampede

@@ -60,7 +60,11 @@ int main(int argc, char** argv) {
   const aru::Mode mode = aru::parse_mode(cli.get_string("aru", "min"));
   const auto run_seconds = cli.get_int("seconds", 9);
 
-  Runtime rt({.aru = {.mode = mode}});
+  RuntimeConfig cfg;
+
+  cfg.aru.mode = mode;
+
+  Runtime rt(std::move(cfg));
   Channel& raw = rt.add_channel({.name = "raw"});
   Channel& results = rt.add_channel({.name = "results"});
   TaskContext& prod = rt.add_task({.name = "producer", .body = producer_body});

@@ -60,7 +60,11 @@ int main(int argc, char** argv) {
   const auto run_seconds = cli.get_int("seconds", 6);
   const auto window = static_cast<std::size_t>(cli.get_int("window", 5));
 
-  Runtime rt({.aru = {.mode = mode}});
+  RuntimeConfig cfg;
+
+  cfg.aru.mode = mode;
+
+  Runtime rt(std::move(cfg));
   auto gen = std::make_shared<SceneGenerator>(11);
   auto gestures = std::make_shared<std::int64_t>(0);
   StageCosts costs;  // digitizer 5 ms, background 12 ms

@@ -24,7 +24,11 @@ int main(int argc, char** argv) {
   const aru::Mode mode = aru::parse_mode(cli.get_string("aru", "min"));
   const auto run_seconds = cli.get_int("seconds", 6);
 
-  Runtime rt({.aru = {.mode = mode}});
+  RuntimeConfig cfg;
+
+  cfg.aru.mode = mode;
+
+  Runtime rt(std::move(cfg));
   MultiFidOptions opts;
   opts.aru = mode;
   const MultiFidHandles h = build_multifid(rt, opts);

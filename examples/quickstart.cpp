@@ -53,7 +53,11 @@ int main(int argc, char** argv) {
   const aru::Mode mode = aru::parse_mode(opts.get_string("aru", "min"));
   const auto run_seconds = opts.get_int("seconds", 3);
 
-  Runtime rt({.aru = {.mode = mode}});
+  RuntimeConfig cfg;
+
+  cfg.aru.mode = mode;
+
+  Runtime rt(std::move(cfg));
   Channel& raw = rt.add_channel({.name = "raw"});
   Channel& refined = rt.add_channel({.name = "refined"});
   TaskContext& prod = rt.add_task({.name = "producer", .body = producer_body});

@@ -109,7 +109,11 @@ int run_channel_server(const Options& cli) {
   const bool quiet = cli.get_bool("quiet", false);
   const auto metrics_port = static_cast<std::int32_t>(cli.get_int("metrics_port", -1));
 
-  Runtime rt({.aru = {.mode = mode}, .metrics_port = metrics_port, .metrics_host = host});
+  RuntimeConfig cfg;
+  cfg.aru.mode = mode;
+  cfg.metrics_port = metrics_port;
+  cfg.metrics_host = host;
+  Runtime rt(std::move(cfg));
   std::vector<net::ServedChannel> served;
   served.reserve(specs.size());
   for (const auto& s : specs) {
@@ -182,9 +186,11 @@ int run_manifest_node(const Options& cli) {
 
   // Distinct per-node runtime seed (task RNG streams must not collide),
   // derived deterministically so reruns reproduce.
-  Runtime rt({.aru = {.mode = manifest.params.aru},
-              .seed = manifest.params.seed + static_cast<std::uint64_t>(self->index),
-              .metrics_port = metrics_port});
+  RuntimeConfig cfg;
+  cfg.aru.mode = manifest.params.aru;
+  cfg.seed = manifest.params.seed + static_cast<std::uint64_t>(self->index);
+  cfg.metrics_port = metrics_port;
+  Runtime rt(std::move(cfg));
   control::Fragment frag = control::build_fragment(rt, manifest, *spec, node);
 
   rt.start();

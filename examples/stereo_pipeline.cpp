@@ -94,7 +94,11 @@ int main(int argc, char** argv) {
   const aru::Mode mode = aru::parse_mode(cli.get_string("aru", "min"));
   const auto run_seconds = cli.get_int("seconds", 5);
 
-  Runtime rt({.aru = {.mode = mode}});
+  RuntimeConfig cfg;
+
+  cfg.aru.mode = mode;
+
+  Runtime rt(std::move(cfg));
   auto rig = std::make_shared<StereoRig>(21);
   auto stats = std::make_shared<MatchStats>();
 

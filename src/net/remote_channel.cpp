@@ -94,7 +94,7 @@ std::shared_ptr<Item> materialize(RunContext& ctx, const WireItem& wi, NodeId pr
       .cluster_node = cluster_node,
       .t_alloc = item->t_alloc(),
       .produce_cost = wi.produce_cost_ns,
-  });
+  }, item->lineage());
   return item;
 }
 

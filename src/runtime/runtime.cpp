@@ -71,6 +71,10 @@ void Runtime::register_builtin_metrics() {
                         "Pooled slab bytes currently out with buffers", {}, [this] {
                           return static_cast<double>(pool_.stats().in_use_bytes);
                         });
+  metrics_.polled_gauge("aru_trace_bytes", "Trace storage block bytes held by the recorder",
+                        {}, [this] {
+                          return static_cast<double>(recorder_.block_bytes());
+                        });
   metrics_.polled_gauge("aru_memory_total_bytes", "Live item bytes (MemoryTracker)",
                         {}, [this] {
                           return static_cast<double>(tracker_.total_bytes());

@@ -4,7 +4,9 @@
 ///
 /// Typical use:
 /// \code
-///   Runtime rt({.aru = {.mode = aru::Mode::kMax}, .gc = gc::Kind::kDeadTimestamp});
+///   RuntimeConfig cfg;
+///   cfg.aru.mode = aru::Mode::kMax;
+///   Runtime rt(std::move(cfg));
 ///   Channel& frames = rt.add_channel({.name = "frames"});
 ///   TaskContext& dig = rt.add_task({.name = "digitizer", .body = digitizer_body});
 ///   TaskContext& trk = rt.add_task({.name = "tracker", .body = tracker_body});

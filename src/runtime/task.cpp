@@ -343,8 +343,7 @@ bool TaskContext::put(std::size_t idx, std::shared_ptr<Item> item) {
       .cluster_node = config_.cluster_node,
       .t_alloc = item->t_alloc(),
       .produce_cost = produce_cost.count(),
-      .lineage = item->lineage(),
-  });
+  }, item->lineage());
   if (produce_cost.count() > 0) {
     record(stats::EventType::kCompute, produce_cost.count(), 0, item->id(), item->ts());
   }

@@ -21,7 +21,9 @@ MultiFidOptions quick(aru::Mode mode) {
 }
 
 TEST(MultiFid, GraphShape) {
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   const MultiFidHandles h = build_multifid(rt, quick(aru::Mode::kMin));
   EXPECT_EQ(rt.tasks(), 5u);
   EXPECT_EQ(rt.channels(), 3u);
@@ -34,7 +36,9 @@ TEST(MultiFid, GraphShape) {
 }
 
 TEST(MultiFid, EndToEndProducesHighFiResults) {
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   const MultiFidHandles h = build_multifid(rt, quick(aru::Mode::kMin));
   rt.start();
   rt.clock().sleep_for(millis(1500));
@@ -48,7 +52,9 @@ TEST(MultiFid, EndToEndProducesHighFiResults) {
 
 TEST(MultiFid, AruBoundsTheDecisionQueue) {
   auto peak_queue_for = [](aru::Mode mode) {
-    Runtime rt({.aru = {.mode = mode}});
+    RuntimeConfig cfg;
+    cfg.aru.mode = mode;
+    Runtime rt(std::move(cfg));
     const MultiFidHandles h = build_multifid(rt, quick(mode));
     rt.start();
     std::size_t peak = 0;
@@ -70,7 +76,9 @@ TEST(MultiFid, AruBoundsTheDecisionQueue) {
 TEST(MultiFid, FramesChannelIsCollectedDespiteRandomAccessConsumer) {
   // The high-fi stage reads frames only via get_at; release_until must
   // keep the frames channel bounded.
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   const MultiFidHandles h = build_multifid(rt, quick(aru::Mode::kMin));
   rt.start();
   rt.clock().sleep_for(millis(1200));
@@ -80,7 +88,9 @@ TEST(MultiFid, FramesChannelIsCollectedDespiteRandomAccessConsumer) {
 }
 
 TEST(MultiFid, HighFiResultsTrackGroundTruth) {
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   MultiFidOptions opts = quick(aru::Mode::kMin);
   opts.highfi_stride = 2;  // fine analysis
   build_multifid(rt, opts);

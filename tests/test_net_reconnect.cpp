@@ -84,7 +84,9 @@ std::vector<stats::Event> events_of(const stats::Trace& trace, stats::EventType 
 
 TEST(NetReconnect, OutageDropsLocallyThenResumes) {
   // ARU on: the summary-STP fold is the payload under test here.
-  Runtime rt(RuntimeConfig{.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   Channel& ch = rt.add_channel({.name = "frames"});
   auto server = std::make_unique<ChannelServer>(
       rt, std::vector<ServedChannel>{{.channel = &ch, .remote_producers = 1,
@@ -179,7 +181,9 @@ TEST(NetReconnect, OutageDropsLocallyThenResumes) {
 }
 
 TEST(NetReconnect, ServerSideTelemetryCountsReattachAndTracksSummaryStp) {
-  Runtime rt(RuntimeConfig{.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   Channel& ch = rt.add_channel({.name = "frames"});
   ChannelServer server(rt, std::vector<ServedChannel>{{.channel = &ch,
                                                        .remote_producers = 1,
@@ -402,7 +406,9 @@ TEST(NetReconnect, OverlongChannelNameIsRejectedAtConstruction) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelinedReconnect, WindowedPutsDeliverEverythingOnDrain) {
-  Runtime rt(RuntimeConfig{.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   Channel& ch = rt.add_channel({.name = "frames"});
   ChannelServer server(rt, {{.channel = &ch, .remote_producers = 1,
                              .remote_consumers = 1}});

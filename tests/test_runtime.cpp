@@ -59,7 +59,9 @@ TEST(Runtime, PipelineDeliversAllItemsWhenRatesMatch) {
 }
 
 TEST(Runtime, AruPacesSourceToConsumerRate) {
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   Channel& ch = rt.add_channel({.name = "ch"});
   TaskContext& src = rt.add_task({.name = "src", .body = fast_source(millis(1))});
   TaskContext& snk = rt.add_task({.name = "snk", .body = sink(millis(10))});
@@ -95,7 +97,9 @@ TEST(Runtime, WithoutAruSourceRunsFreely) {
 
 TEST(Runtime, AruReducesWastedItems) {
   auto waste_for = [](aru::Mode mode) {
-    Runtime rt({.aru = {.mode = mode}});
+    RuntimeConfig cfg;
+    cfg.aru.mode = mode;
+    Runtime rt(std::move(cfg));
     Channel& ch = rt.add_channel({.name = "ch"});
     TaskContext& src = rt.add_task({.name = "src", .body = fast_source(millis(1))});
     TaskContext& snk = rt.add_task({.name = "snk", .body = sink(millis(8))});
@@ -115,7 +119,9 @@ TEST(Runtime, AruReducesWastedItems) {
 
 TEST(Runtime, FanOutMinFollowsFastestMaxFollowsSlowest) {
   auto source_period_under = [](aru::Mode mode) {
-    Runtime rt({.aru = {.mode = mode}});
+    RuntimeConfig cfg;
+    cfg.aru.mode = mode;
+    Runtime rt(std::move(cfg));
     Channel& ch = rt.add_channel({.name = "ch"});
     TaskContext& src = rt.add_task({.name = "src", .body = fast_source(millis(1))});
     TaskContext& fast = rt.add_task({.name = "fast", .body = sink(millis(6))});
@@ -265,7 +271,10 @@ TEST(Runtime, DgcElidesComputationWithThrottledMiddle) {
 }
 
 TEST(Runtime, ThrottleNonSourcePacesMiddleStages) {
-  Runtime rt({.aru = {.mode = aru::Mode::kMin, .throttle_non_source = true}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  cfg.aru.throttle_non_source = true;
+  Runtime rt(std::move(cfg));
   Channel& a = rt.add_channel({.name = "a"});
   Channel& b = rt.add_channel({.name = "b"});
   TaskContext& src = rt.add_task({.name = "src", .body = fast_source(millis(1))});
@@ -327,7 +336,10 @@ TEST(Runtime, DrainTimesOutWhenConsumerCannotKeepUp) {
 class GcKindSweep : public ::testing::TestWithParam<gc::Kind> {};
 
 TEST_P(GcKindSweep, PipelineDeliversAndBalancesAccounting) {
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}, .gc = GetParam()});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  cfg.gc = GetParam();
+  Runtime rt(std::move(cfg));
   Channel& ch = rt.add_channel({.name = "ch"});
   TaskContext& src = rt.add_task({.name = "src", .body = fast_source(millis(1), 60)});
   TaskContext& snk = rt.add_task({.name = "snk", .body = sink(millis(2))});
@@ -357,7 +369,9 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, GcKindSweep,
 // application (i.e., latency)." — after a consumer slows down, the source
 // must adapt within a few pipeline latencies.
 TEST(Runtime, FeedbackReactionWithinPipelineLatencies) {
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   Channel& a = rt.add_channel({.name = "a"});
   Channel& b = rt.add_channel({.name = "b"});
   auto slow_phase = std::make_shared<std::atomic<bool>>(false);
@@ -393,7 +407,10 @@ TEST(Runtime, FeedbackReactionWithinPipelineLatencies) {
 TEST(Runtime, PerChannelFilterOverridesRuntimeDefault) {
   // Runtime default passthrough; one channel carries a median filter that
   // must absorb a one-off spike in its consumer's summary.
-  Runtime rt({.aru = {.mode = aru::Mode::kMin, .filter = "passthrough"}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  cfg.aru.filter = "passthrough";
+  Runtime rt(std::move(cfg));
   Channel& filtered = rt.add_channel({.name = "filtered", .filter = "median:5"});
   // Drive the channel directly (no threads) through its public interface:
   const int c = filtered.register_consumer(200, 0);

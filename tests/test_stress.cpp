@@ -79,9 +79,10 @@ TEST(Stress, RandomizedPipelineShutdownNeverHangsOrLeaks) {
   // moment (possibly while everything is mid-flight).
   for (std::uint64_t round = 0; round < 6; ++round) {
     Xoshiro256 rng(round * 977 + 1);
-    Runtime rt({.aru = rng.uniform() < 0.5 ? aru::Config{.mode = aru::Mode::kMin}
-                                           : aru::Config{.mode = aru::Mode::kOff},
-                .seed = round});
+    RuntimeConfig cfg;
+    cfg.aru.mode = rng.uniform() < 0.5 ? aru::Mode::kMin : aru::Mode::kOff;
+    cfg.seed = round;
+    Runtime rt(std::move(cfg));
 
     const int depth = 2 + static_cast<int>(rng.below(3));
     std::vector<Channel*> chans;
@@ -154,7 +155,9 @@ TEST(Stress, BoundedChannelUnderShutdownReleasesBlockedProducer) {
 TEST(Stress, TraceOrderingInvariantPerItem) {
   // For every item: alloc happens-before put happens-before any
   // consume/skip, and free is last.
-  Runtime rt({.aru = {.mode = aru::Mode::kMin}});
+  RuntimeConfig cfg;
+  cfg.aru.mode = aru::Mode::kMin;
+  Runtime rt(std::move(cfg));
   Channel& ch = rt.add_channel({.name = "ch"});
   TaskContext& src = rt.add_task({.name = "src", .body = [](TaskContext& ctx) {
                                     static thread_local Timestamp ts = 0;

@@ -339,5 +339,36 @@ TEST(RuntimeTelemetry, DisabledByDefault) {
             std::string::npos);
 }
 
+TEST(RuntimeTelemetry, TraceBytesGaugeReportsRecorderBlocks) {
+  Runtime rt;
+  Channel& ch = rt.add_channel({.name = "ch"});
+  TaskContext& src = rt.add_task({.name = "src", .body = [](TaskContext& ctx) {
+                                    auto item = ctx.make_item(ctx.now().count(), 64, {});
+                                    ctx.put(0, item);
+                                    return TaskStatus::kContinue;
+                                  }});
+  TaskContext& snk = rt.add_task({.name = "snk", .body = [](TaskContext& ctx) {
+                                    auto in = ctx.get(0);
+                                    if (!in) return TaskStatus::kDone;
+                                    ctx.emit(*in);
+                                    return TaskStatus::kContinue;
+                                  }});
+  rt.connect(src, ch);
+  rt.connect(ch, snk);
+  rt.start();
+  ASSERT_TRUE(rt.wait_emits(200, seconds(30)));
+  rt.stop();
+
+  const std::string body = rt.metrics().render_prometheus();
+  const std::string series = "\naru_trace_bytes ";
+  const std::size_t at = body.find(series);
+  ASSERT_NE(at, std::string::npos) << body;
+  const double shown = std::stod(body.substr(at + series.size()));
+  const auto held = rt.recorder().block_bytes();
+  // At least one block for each of the two tasks and the channel.
+  EXPECT_EQ(shown, static_cast<double>(held));
+  EXPECT_GE(held, 3 * static_cast<std::int64_t>(stats::Shard::kFirstBlockBytes));
+}
+
 }  // namespace
 }  // namespace stampede::telemetry

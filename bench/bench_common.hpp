@@ -39,19 +39,13 @@ inline vision::TrackerOptions tracker_options_from(const Options& cli, aru::Mode
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   opts.gc = gc::parse_kind(cli.get_string("gc", "dgc"));
   opts.aru_filter = cli.get_string("filter", "passthrough");
-  opts.costs = vision::StageCosts{}.scaled(cli.get_double("scale", 1.0));
+  opts.scale = cli.get_double("scale", 1.0);
   return opts;
 }
 
 /// Averages scalar metrics across repeats (series kept from the last run).
 inline stats::Analysis average(const std::vector<stats::Analysis>& runs) {
   stats::Analysis out = runs.back();
-  auto avg = [&](auto member) {
-    double sum = 0;
-    for (const auto& r : runs) sum += r.*member;
-    return sum / static_cast<double>(runs.size());
-  };
-  (void)avg;
   if (runs.size() == 1) return out;
   auto mean_of = [&](double stats::PerfMetrics::*m) {
     double s = 0;

@@ -141,11 +141,13 @@ void BM_ChannelGcPressure(benchmark::State& state) {
   f.ctx.gc = gc::Kind::kTransparent;
   const Timestamp occupancy = state.range(0);
   constexpr int kOpsPerRound = 64;
+  // One shard for the whole run: the channels live one after another on
+  // this thread, so they can share it.
+  stats::Shard* shard = f.recorder.new_shard();
 
   for (auto _ : state) {
     state.PauseTiming();
-    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-               f.recorder.new_shard());
+    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""), shard);
     const int c = ch.register_consumer(200, 0);
     ch.register_consumer(300, 0);  // laggard: never reads, pins everything
     Timestamp ts = 0;
@@ -167,10 +169,10 @@ void BM_ChannelSkipScan(benchmark::State& state) {
   // access pattern itself.
   Fixture f;
   const int n = static_cast<int>(state.range(0));
+  stats::Shard* shard = f.recorder.new_shard();  // shared, as in BM_ChannelGcPressure
   for (auto _ : state) {
     state.PauseTiming();
-    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""),
-               f.recorder.new_shard());
+    Channel ch(f.ctx, 0, ChannelConfig{.name = "c"}, aru::Mode::kOff, make_filter(""), shard);
     const int c = ch.register_consumer(200, 0);
     for (Timestamp ts = 0; ts < n; ++ts) ch.put(f.item(ts), f.stop.get_token());
     state.ResumeTiming();

@@ -187,7 +187,7 @@ BENCHMARK(BM_NetGetRtt)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 /// Producer→consumer relay through the served channel: one proxy puts,
 /// another gets, so each iteration crosses the wire twice (the two-process
-/// pipeline hop distributed_tracker runs at full scale).
+/// pipeline hop examples/tracker.manifest runs at full scale).
 void BM_NetPutGetPipe(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   Loop loop(/*producers=*/1, /*consumers=*/1);

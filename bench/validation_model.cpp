@@ -11,6 +11,10 @@
 /// ablation_stability.
 ///
 /// Usage: validation_model [seconds=6] [seed=42] [csv=...]
+#include <algorithm>
+#include <map>
+#include <stdexcept>
+
 #include "bench_common.hpp"
 #include "core/simulator.hpp"
 #include "stats/breakdown.hpp"
@@ -20,19 +24,38 @@ using namespace stampede::bench;
 
 namespace {
 
-/// Stage indices in the rate-skeleton model.
-enum Stage { kDig = 0, kBg = 1, kHist = 2, kTd1 = 3, kTd2 = 4, kGui = 5 };
-
+/// The tracker's rate skeleton: one stage per vision::tracker_spec() task,
+/// in spec order, whose consumers are the tasks that read any of its
+/// outputs.
 std::vector<aru::SimStage> tracker_skeleton(const vision::StageCosts& costs) {
-  using aru::SimStage;
-  return {
-      SimStage{.name = "digitizer", .cost = costs.digitizer, .consumers = {kBg, kHist, kTd1, kTd2}},
-      SimStage{.name = "background", .cost = costs.background, .consumers = {kTd1, kTd2}},
-      SimStage{.name = "histogram", .cost = costs.histogram, .consumers = {kTd1, kTd2}},
-      SimStage{.name = "detect1", .cost = costs.detect0, .consumers = {kGui}},
-      SimStage{.name = "detect2", .cost = costs.detect1, .consumers = {kGui}},
-      SimStage{.name = "gui", .cost = costs.gui, .consumers = {}},
+  const std::map<std::string, Nanos> cost_of = {
+      {"digitizer", costs.digitizer}, {"background", costs.background},
+      {"histogram", costs.histogram}, {"detect1", costs.detect0},
+      {"detect2", costs.detect1},     {"gui", costs.gui},
   };
+  const auto& tasks = vision::tracker_spec().tasks;
+  std::vector<aru::SimStage> stages;
+  for (const auto& t : tasks) {
+    aru::SimStage stage{.name = t.name, .cost = cost_of.at(t.name)};
+    for (std::size_t c = 0; c < tasks.size(); ++c) {
+      if (std::ranges::find_first_of(tasks[c].inputs, t.outputs) != tasks[c].inputs.end()) {
+        stage.consumers.push_back(static_cast<int>(c));
+      }
+    }
+    stages.push_back(std::move(stage));
+  }
+  return stages;
+}
+
+/// Skeleton index of the task that writes `channel`.
+int producer_of(const std::string& channel) {
+  const auto& tasks = vision::tracker_spec().tasks;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (std::ranges::find(tasks[i].outputs, channel) != tasks[i].outputs.end()) {
+      return static_cast<int>(i);
+    }
+  }
+  throw std::logic_error("no tracker task writes '" + channel + "'");
 }
 
 /// Aggregate predicted skip fraction for a channel with producer `p` and
@@ -70,7 +93,9 @@ int main(int argc, char** argv) {
     // Analytic prediction from the rate skeleton.
     vision::TrackerOptions opts = tracker_options_from(cli, mode, 1);
     opts.duration = seconds(cli.get_int("seconds", 6));
-    aru::RateSimulator sim(tracker_skeleton(opts.costs), {.mode = mode});
+    const std::vector<aru::SimStage> skeleton =
+        tracker_skeleton(vision::StageCosts{}.scaled(opts.scale));
+    aru::RateSimulator sim(skeleton, {.mode = mode});
     sim.run(12);  // well past convergence (depth <= 4 hops)
 
     // Measurement from a real run.
@@ -79,24 +104,15 @@ int main(int argc, char** argv) {
     const stats::Analyzer analyzer(r.trace);
     const stats::Breakdown b = stats::compute_breakdown(r.trace, analyzer);
 
-    const int frames_consumers[] = {kBg, kHist, kTd1, kTd2};
-    const int mask_consumers[] = {kTd1, kTd2};
-    struct Row {
-      const char* channel;
-      int producer;
-      std::span<const int> consumers;
-    };
-    const Row rows[] = {
-        {"frames", kDig, frames_consumers},
-        {"masks", kBg, mask_consumers},
-        {"hists", kHist, mask_consumers},
-    };
-    for (const Row& row : rows) {
-      table.add_row({aru::to_string(mode), row.channel,
-                     Table::num(100.0 * predicted_channel_skip(sim, row.producer,
-                                                               row.consumers),
+    // Every tracker task writes one channel, so a producer stage's
+    // consumers are exactly its channel's readers.
+    for (const char* channel : {"frames", "masks", "hists"}) {
+      const int producer = producer_of(channel);
+      table.add_row({aru::to_string(mode), channel,
+                     Table::num(100.0 * predicted_channel_skip(
+                                            sim, producer, skeleton[producer].consumers),
                                 1),
-                     Table::num(100.0 * measured_channel_skip(b, row.channel), 1)});
+                     Table::num(100.0 * measured_channel_skip(b, channel), 1)});
     }
   }
 

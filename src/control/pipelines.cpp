@@ -1,93 +1,13 @@
 #include "control/pipelines.hpp"
 
 #include <array>
-#include <cstddef>
 
-#include "vision/stages.hpp"
 #include "vision/stereo.hpp"
+#include "vision/tracker.hpp"
 
 namespace stampede::control {
 
-PipelineParams PipelineParams::from_options(const Options& opts) {
-  PipelineParams p;
-  p.aru = aru::parse_mode(opts.get_string("aru", aru::to_string(p.aru)));
-  p.seed = static_cast<std::uint64_t>(opts.get_int("seed", static_cast<std::int64_t>(p.seed)));
-  p.scale = opts.get_double("scale", p.scale);
-  p.stride = static_cast<int>(opts.get_int("stride", p.stride));
-  return p;
-}
-
-const PipelineSpec::Task* PipelineSpec::find_task(const std::string& task) const {
-  for (const Task& t : tasks) {
-    if (t.name == task) return &t;
-  }
-  return nullptr;
-}
-
-bool PipelineSpec::has_channel(const std::string& channel) const {
-  for (const std::string& c : channels) {
-    if (c == channel) return true;
-  }
-  return false;
-}
-
 namespace {
-
-// ---------------------------------------------------------------------------
-// "tracker": the Fig. 5 color tracker
-// ---------------------------------------------------------------------------
-
-/// Per-process shared state of the tracker stages. Every process builds
-/// the full struct (it is cheap) and its local stages pick what they
-/// need; the shared seed keeps the digitizer's scene and the detectors'
-/// ground-truth scene identical across processes.
-struct TrackerState {
-  std::shared_ptr<vision::SceneGenerator> gen;
-  std::shared_ptr<vision::DetectionStats> stats0;
-  std::shared_ptr<vision::DetectionStats> stats1;
-};
-
-PipelineSpec make_tracker_spec() {
-  PipelineSpec spec;
-  spec.name = "tracker";
-  spec.channels = {"frames", "masks", "hists", "loc1", "loc2"};
-  spec.tasks = {
-      {.name = "digitizer", .inputs = {}, .outputs = {"frames"}},
-      {.name = "background", .inputs = {"frames"}, .outputs = {"masks"}},
-      {.name = "histogram", .inputs = {"frames"}, .outputs = {"hists"}},
-      // Port order matters: make_target_detection reads masks on input 0,
-      // hists on 1, frames on 2.
-      {.name = "detect1", .inputs = {"masks", "hists", "frames"}, .outputs = {"loc1"}},
-      {.name = "detect2", .inputs = {"masks", "hists", "frames"}, .outputs = {"loc2"}},
-      {.name = "gui", .inputs = {"loc1", "loc2"}, .outputs = {}},
-  };
-  spec.make_state = [](const PipelineParams& p) -> std::shared_ptr<void> {
-    auto state = std::make_shared<TrackerState>();
-    state->gen = std::make_shared<vision::SceneGenerator>(p.seed);
-    state->stats0 = std::make_shared<vision::DetectionStats>();
-    state->stats1 = std::make_shared<vision::DetectionStats>();
-    return state;
-  };
-  spec.make_body = [](const std::string& task, const PipelineParams& p,
-                      const std::shared_ptr<void>& state) -> TaskBody {
-    const auto& ts = *std::static_pointer_cast<TrackerState>(state);
-    const vision::StageCosts costs = vision::StageCosts{}.scaled(p.scale);
-    if (task == "digitizer") {
-      return vision::make_digitizer(ts.gen, costs, INT64_MAX, p.stride);
-    }
-    if (task == "background") return vision::make_background(costs, p.stride);
-    if (task == "histogram") return vision::make_histogram(costs, p.stride);
-    if (task == "detect1") {
-      return vision::make_target_detection(ts.gen, costs, 0, p.stride, ts.stats0);
-    }
-    if (task == "detect2") {
-      return vision::make_target_detection(ts.gen, costs, 1, p.stride, ts.stats1);
-    }
-    if (task == "gui") return vision::make_gui(costs);
-    return {};
-  };
-  return spec;
-}
 
 // ---------------------------------------------------------------------------
 // "relay": source -> stream -> sink (cheap smoke/test pipeline)
@@ -101,7 +21,6 @@ PipelineSpec make_relay_spec() {
       {.name = "source", .inputs = {}, .outputs = {"stream"}},
       {.name = "sink", .inputs = {"stream"}, .outputs = {}},
   };
-  spec.make_state = [](const PipelineParams&) -> std::shared_ptr<void> { return nullptr; };
   spec.make_body = [](const std::string& task, const PipelineParams& p,
                       const std::shared_ptr<void>&) -> TaskBody {
     // Source at 1 ms, sink at 6 ms (x scale): with ARU on, summary-STP
@@ -211,25 +130,21 @@ PipelineSpec make_stereo_spec() {
   return spec;
 }
 
-const std::array<PipelineSpec, 3>& registry() {
-  static const std::array<PipelineSpec, 3> specs = {
-      make_tracker_spec(), make_relay_spec(), make_stereo_spec()};
+const std::array<const PipelineSpec*, 3>& registry() {
+  static const PipelineSpec relay = make_relay_spec();
+  static const PipelineSpec stereo = make_stereo_spec();
+  static const std::array<const PipelineSpec*, 3> specs = {&vision::tracker_spec(), &relay,
+                                                           &stereo};
   return specs;
 }
 
 }  // namespace
 
 const PipelineSpec* find_pipeline(const std::string& name) {
-  for (const PipelineSpec& spec : registry()) {
-    if (spec.name == name) return &spec;
+  for (const PipelineSpec* spec : registry()) {
+    if (spec->name == name) return spec;
   }
   return nullptr;
-}
-
-std::vector<std::string> pipeline_names() {
-  std::vector<std::string> out;
-  for (const PipelineSpec& spec : registry()) out.push_back(spec.name);
-  return out;
 }
 
 }  // namespace stampede::control

@@ -1,17 +1,11 @@
 /// \file pipelines.hpp
-/// \brief Built-in pipeline definitions the control plane can deploy.
+/// \brief Registry of the pipelines the control plane can deploy.
 ///
-/// A `PipelineSpec` is the *structure* of a task graph — tasks, channels,
-/// and the port order of every edge — plus factories that build the task
-/// bodies inside whichever process a task lands in. Manifests
-/// (manifest.hpp) never describe structure; they only *place* a spec's
-/// tasks and channels onto named nodes, mirroring the paper's evaluation
-/// where one fixed Fig. 5 tracker graph is deployed on one node vs five.
+/// A `PipelineSpec` (runtime/pipeline.hpp) is the structure of a task
+/// graph; manifests (manifest.hpp) only place it onto named nodes.
 ///
 /// Registered specs:
-///   "tracker"  the Fig. 5 color tracker (digitizer, background,
-///              histogram, detect1, detect2, gui over frames/masks/
-///              hists/loc1/loc2)
+///   "tracker"  the Fig. 5 color tracker, vision::tracker_spec()
 ///   "relay"    a minimal source -> stream -> sink pipe for tests and
 ///              smoke runs
 ///   "stereo"   the §1 stereo correspondence scenario (camera-left,
@@ -20,64 +14,16 @@
 ///              the frame channels it random-accesses via get_at)
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "core/policy.hpp"
-#include "runtime/task.hpp"
-#include "util/options.hpp"
+#include "runtime/pipeline.hpp"
 
 namespace stampede::control {
 
-/// Deployment-time knobs shared by every worker of one deployment. All
-/// workers must parse identical values (the supervisor forwards one
-/// option set to every spawn), so per-process RNG streams and stage
-/// costs agree across the fleet.
-struct PipelineParams {
-  aru::Mode aru = aru::Mode::kMin;
-  std::uint64_t seed = 42;
-  /// Stage-cost multiplier (1.0 = the paper's costs).
-  double scale = 1.0;
-  /// Pixel-processing stride for the vision kernels.
-  int stride = 8;
-
-  static PipelineParams from_options(const Options& opts);
-};
-
-/// Structure of one deployable task graph.
-struct PipelineSpec {
-  struct Task {
-    std::string name;
-    /// Input channels in port order (get(0) reads inputs[0], ...).
-    std::vector<std::string> inputs;
-    /// Output channels in port order (put(0) writes outputs[0], ...).
-    std::vector<std::string> outputs;
-  };
-
-  std::string name;
-  std::vector<std::string> channels;
-  std::vector<Task> tasks;
-
-  /// Builds the per-process shared state (scene generators, detection
-  /// accumulators) handed to every make_body call in this process.
-  std::function<std::shared_ptr<void>(const PipelineParams&)> make_state;
-
-  /// Builds the body for `task` (a name from `tasks`).
-  std::function<TaskBody(const std::string& task, const PipelineParams&,
-                         const std::shared_ptr<void>& state)>
-      make_body;
-
-  const Task* find_task(const std::string& task) const;
-  bool has_channel(const std::string& channel) const;
-};
+using stampede::PipelineParams;
+using stampede::PipelineSpec;
 
 /// Looks up a registered pipeline; nullptr if unknown.
 const PipelineSpec* find_pipeline(const std::string& name);
-
-/// Names of all registered pipelines (for diagnostics).
-std::vector<std::string> pipeline_names();
 
 }  // namespace stampede::control

@@ -1,6 +1,7 @@
 /// \file tracker.hpp
 /// \brief The color-based people-tracker application (paper Fig. 5) —
-///        pipeline wiring, cluster placement, and the experiment runner.
+///        its one graph declaration, its cluster placement, and the
+///        experiment runner.
 ///
 /// Pipeline:
 ///
@@ -12,15 +13,18 @@
 /// both detectors read masks, hists and frames; the GUI consumes both
 /// location channels and emits every displayed result.)
 ///
-/// Configuration 1 places everything on one cluster node (shared memory);
-/// configuration 2 distributes the five stages over five nodes connected
-/// by a simulated Gigabit link, with channels on their producers' nodes —
-/// mirroring the paper's two experimental configurations.
+/// tracker_spec() declares this graph once. build_tracker places it on the
+/// simulated cluster: configuration 1 puts everything on one cluster node
+/// (shared memory); configuration 2 distributes the five stages over five
+/// nodes connected by a simulated Gigabit link, with channels on their
+/// producers' nodes — mirroring the paper's two experimental
+/// configurations. Manifests place the same spec onto real processes.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "runtime/pipeline.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/postmortem.hpp"
 #include "vision/stages.hpp"
@@ -49,10 +53,9 @@ struct TrackerOptions {
   int cluster_config = 1;
   /// Wall-clock run length.
   Nanos duration = seconds(10);
-  /// Digitizer stops after this many frames (default: unbounded).
-  std::int64_t max_frames = INT64_MAX;
   std::uint64_t seed = 42;
-  StageCosts costs;
+  /// Stage-cost multiplier (1.0 = the paper's StageCosts).
+  double scale = 1.0;
   CostMode cost_mode = CostMode::kSleep;
   /// Memory-pressure model (see PressureModel); defaults reproduce the
   /// paper's load-dependent slowdown of the No-ARU baseline.
@@ -68,6 +71,12 @@ struct TrackerOptions {
   /// Fraction of the run discarded as warm-up for performance metrics.
   double warmup_fraction = 0.1;
 };
+
+/// The Fig. 5 tracker graph: tasks digitizer, background, histogram,
+/// detect1, detect2 and gui over channels frames, masks, hists, loc1 and
+/// loc2, in port order. Built once; registered with the control plane as
+/// "tracker".
+const PipelineSpec& tracker_spec();
 
 /// Node ids of the constructed pipeline (for trace queries).
 struct TrackerHandles {
@@ -90,7 +99,9 @@ struct TrackerHandles {
 /// steady clock).
 RuntimeConfig runtime_config(const TrackerOptions& opts);
 
-/// Wires the tracker pipeline into `rt`. Call before rt.start().
+/// Places tracker_spec() into `rt` on the cluster node of
+/// `opts.cluster_config`, under the paper's names (C1:frames ... C5:loc2,
+/// detect-m1, detect-m2). Call before rt.start().
 TrackerHandles build_tracker(Runtime& rt, const TrackerOptions& opts);
 
 /// Complete experiment result.

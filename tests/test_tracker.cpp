@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
-#include "vision/records.hpp"
 
 namespace stampede::vision {
 namespace {
@@ -14,7 +13,7 @@ TrackerOptions quick(aru::Mode mode, int config = 1) {
   opts.aru = mode;
   opts.cluster_config = config;
   opts.duration = millis(2500);
-  opts.costs = StageCosts{}.scaled(0.5);
+  opts.scale = 0.5;
   opts.seed = 7;
   return opts;
 }
@@ -47,6 +46,60 @@ TEST(TrackerBuild, DotExportNamesAllStages) {
   EXPECT_NE(dot.find("subgraph cluster_4"), std::string::npos);
 }
 
+/// Names of `ids`' graph nodes, in the given order.
+std::vector<std::string> names_of(const Graph& g, const std::vector<NodeId>& ids) {
+  std::vector<std::string> out;
+  for (const NodeId id : ids) out.push_back(g.node(id).name);
+  return out;
+}
+
+TEST(TrackerBuild, PlacementMatchesPaperConfigs) {
+  // The paper's two placements of the Fig. 5 graph, node by node in id
+  // order: config 1 puts everything on node 0; config 2 puts the five
+  // stages on five nodes (both detectors on node 3) and each channel on
+  // its producer's node. A task's inputs and outputs are its channels in
+  // port order.
+  struct Expected {
+    const char* name;
+    NodeKind kind;
+    int cfg2_node;
+    std::vector<std::string> inputs;
+    std::vector<std::string> outputs;
+  };
+  const std::vector<Expected> expected = {
+      {"C1:frames", NodeKind::kChannel, 0, {}, {}},
+      {"C2:masks", NodeKind::kChannel, 1, {}, {}},
+      {"C3:hists", NodeKind::kChannel, 2, {}, {}},
+      {"C4:loc1", NodeKind::kChannel, 3, {}, {}},
+      {"C5:loc2", NodeKind::kChannel, 3, {}, {}},
+      {"digitizer", NodeKind::kThread, 0, {}, {"C1:frames"}},
+      {"background", NodeKind::kThread, 1, {"C1:frames"}, {"C2:masks"}},
+      {"histogram", NodeKind::kThread, 2, {"C1:frames"}, {"C3:hists"}},
+      {"detect-m1", NodeKind::kThread, 3, {"C2:masks", "C3:hists", "C1:frames"}, {"C4:loc1"}},
+      {"detect-m2", NodeKind::kThread, 3, {"C2:masks", "C3:hists", "C1:frames"}, {"C5:loc2"}},
+      {"gui", NodeKind::kThread, 4, {"C4:loc1", "C5:loc2"}, {}},
+  };
+  for (const int config : {1, 2}) {
+    SCOPED_TRACE("config " + std::to_string(config));
+    const TrackerOptions opts = quick(aru::Mode::kMin, config);
+    Runtime rt(runtime_config(opts));
+    build_tracker(rt, opts);
+    const Graph& g = rt.graph();
+    ASSERT_EQ(g.nodes().size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const Expected& e = expected[i];
+      const NodeInfo& n = g.nodes()[i];
+      EXPECT_EQ(n.name, e.name);
+      EXPECT_EQ(n.kind, e.kind) << e.name;
+      EXPECT_EQ(n.cluster_node, config == 2 ? e.cfg2_node : 0) << e.name;
+      if (e.kind != NodeKind::kThread) continue;
+      // Edges are recorded in connect order, which is port order.
+      EXPECT_EQ(names_of(g, g.predecessors(n.id)), e.inputs) << e.name;
+      EXPECT_EQ(names_of(g, g.successors(n.id)), e.outputs) << e.name;
+    }
+  }
+}
+
 TEST(TrackerRun, ProducesDisplaysAndTracks) {
   const TrackerResult r = run_tracker(quick(aru::Mode::kMax));
   EXPECT_GT(r.analysis.perf.frames_emitted, 10);
@@ -56,19 +109,24 @@ TEST(TrackerRun, ProducesDisplaysAndTracks) {
 }
 
 TEST(TrackerRun, DetectionsTrackGroundTruth) {
-  TrackerOptions opts = quick(aru::Mode::kMax);
+  // Config 2: the detectors read frames, masks and hists over the
+  // simulated link, as in perfbench's paper-cfg2 workload.
+  TrackerOptions opts = quick(aru::Mode::kMax, 2);
   opts.stride = 4;  // denser sampling for accuracy
-  const TrackerResult r = run_tracker(opts);
-  // Decode every location record put into the loc channels via the trace:
-  // confidence > 0 results must dominate.
-  int found = 0, missing = 0;
-  for (const auto& rec : r.trace.items) {
-    if (rec.bytes == static_cast<std::int64_t>(kLocationBytes)) {
-      ++found;  // location records exist
-    }
+  Runtime rt(runtime_config(opts));
+  const TrackerHandles h = build_tracker(rt, opts);
+  rt.start();
+  rt.clock().sleep_for(opts.duration);
+  rt.stop();
+
+  for (int model = 0; model < 2; ++model) {
+    const DetectionStats& stats = *h.detect_stats[model];
+    const double attempts = static_cast<double>(stats.found.load() + stats.missed.load());
+    ASSERT_GT(attempts, 10) << "model " << model;
+    // Measured at 0.97-0.99 found and 13-19 px mean centroid error.
+    EXPECT_GE(static_cast<double>(stats.found.load()) / attempts, 0.85) << "model " << model;
+    EXPECT_LE(stats.mean_error_px(), 30.0) << "model " << model;
   }
-  (void)missing;
-  EXPECT_GT(found, 10);
 }
 
 TEST(TrackerRun, DetectionAccuracyCountersTrackTruth) {
@@ -120,17 +178,6 @@ TEST(TrackerRun, Config2PlacesStagesOnFiveNodes) {
     any_transfer |= e.type == stats::EventType::kTransfer;
   }
   EXPECT_TRUE(any_transfer);
-}
-
-TEST(TrackerRun, MaxFramesStopsDigitizer) {
-  TrackerOptions opts = quick(aru::Mode::kOff);
-  opts.max_frames = 25;
-  const TrackerResult r = run_tracker(opts);
-  int frame_items = 0;
-  for (const auto& rec : r.trace.items) {
-    if (rec.bytes == static_cast<std::int64_t>(kFrameBytes)) ++frame_items;
-  }
-  EXPECT_EQ(frame_items, 25);
 }
 
 TEST(TrackerRun, LabelsAreDescriptive) {
